@@ -24,7 +24,7 @@ test:
 # Smoke-mode bench with machine-readable metrics, then the regression
 # gate against the committed baseline (see tools/bench_gate).
 bench-smoke:
-	CLOUDIA_BENCH_JSON=bench-metrics.json dune exec bench/main.exe -- --smoke fig-delta micro
+	CLOUDIA_BENCH_JSON=bench-metrics.json dune exec bench/main.exe -- --smoke fig-delta fig-scale micro
 
 bench-gate: bench-smoke
 	dune exec tools/bench_gate/bench_gate.exe -- bench/baseline.json bench-metrics.json

@@ -1,4 +1,5 @@
-(* fig-scale: solver scaling past the dense tableau ceiling.
+(* fig-scale: solver scaling on the sparse LP kernel and CP symmetry
+   breaking.
 
    Four gated measurements backing DESIGN.md §14:
 
@@ -6,14 +7,14 @@
      true-cost rows make whole racks instance-interchangeable, so the
      broken search visits one representative per rack where the unbroken
      search tries every instance. Same final cost, far fewer nodes.
-   - A 150-instance LLNDP LP relaxation whose estimated dense tableau is
-     ~5x past [Simplex.max_tableau_cells] — the model routes to the
-     sparse revised-simplex kernel automatically, with linearized-max
-     rows generated lazily from violated edges.
-   - Branch-and-bound at 40 instances, where every relaxation runs
-     sparse and child nodes warm-start from the parent basis.
+   - A 150-instance LLNDP LP relaxation (~93M cells as a dense tableau)
+     on the sparse revised-simplex kernel, with linearized-max rows
+     generated lazily from violated edges.
+   - Branch-and-bound at 40 instances, where child nodes warm-start from
+     the parent basis.
    - A bit-match check: a pure assignment LP (totally unimodular, dyadic
-     costs, so every pivot quantity is exact) solved dense and sparse
+     costs, so every pivot quantity is exact) solved by the production
+     sparse kernel and by the dense reference tableau ([Lp_reference])
      must agree on the optimal objective to the last bit.
 
    The rack matrix is exact on purpose: [rack] instances per rack at
@@ -196,7 +197,7 @@ let lp_relaxation () =
   Util.metric "fig_scale.lp150.seconds" seconds
 
 let mip_scale () =
-  Util.subsection "MIP at 40 instances: every relaxation sparse, children warm-started";
+  Util.subsection "MIP at 40 instances: children warm-started from the parent basis";
   let m = 40 in
   let graph = Graphs.Templates.mesh2d ~rows:4 ~cols:4 in
   let problem = Cloudia.Types.of_matrix ~graph (rack_matrix m) in
@@ -257,8 +258,8 @@ let bitmatch () =
     | Lp.Simplex.Optimal (obj, _) -> Some obj
     | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> None
   in
-  let dense = objective (fst (Lp.Model.solve_relaxation_basis model)) in
-  let sparse = objective (fst (Lp.Model.solve_relaxation_basis ~dense_ceiling:0 model)) in
+  let dense = objective (Lp_reference.Dense.solve_relaxation model) in
+  let sparse = objective (Lp.Model.solve_relaxation model) in
   let matched =
     match (dense, sparse) with
     | Some d, Some s -> Int64.equal (Int64.bits_of_float d) (Int64.bits_of_float s)
@@ -272,7 +273,7 @@ let bitmatch () =
   Util.metric "fig_scale.sparse_dense.bitmatch" (if matched then 1.0 else 0.0)
 
 let run () =
-  Util.section "fig-scale" "solver scaling past the dense ceiling";
+  Util.section "fig-scale" "solver scaling: sparse LP kernel, CP symmetry breaking";
   cp_scale ();
   lp_relaxation ();
   mip_scale ();

@@ -40,8 +40,14 @@ let expect_result = function
 let run () =
   Util.section "Serve" "advising daemon: fingerprint caches and throughput";
   let sock = socket_path () in
+  let per_thread = Util.trials ~floor:9 30 in
+  (* The cache holds the run's whole working set, so the disconnect check
+     at the end still finds the first 64-node job's memo: two mesh jobs
+     (seeds 7 and 8), [per_thread / 3] seeds on each of the three
+     sustained-workload matrices, and the orphaned job. *)
+  let cache_capacity = 2 + (3 * (per_thread / 3)) + 1 in
   let config =
-    { (Serve.Server.default_config ~socket_path:sock) with domains = 2; cache_capacity = 16 }
+    { (Serve.Server.default_config ~socket_path:sock) with domains = 2; cache_capacity }
   in
   let server = Serve.Server.start config in
   Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
@@ -100,7 +106,6 @@ let run () =
       [ 711; 712; 713 ]
   in
   let small_moves = Util.trials ~floor:500 5_000 in
-  let per_thread = Util.trials ~floor:9 30 in
   let worker tid () =
     let c = Serve.Client.connect sock in
     Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->

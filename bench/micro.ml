@@ -4,20 +4,20 @@
 open Bechamel
 open Toolkit
 
-let simplex_test =
+let lp_test =
   (* The Dantzig max example with a few extra rows — a representative
-     small LP solve. *)
+     small LP solve on the production kernel. *)
   let rows =
     [
-      ([| 1.0; 0.0; 1.0 |], Lp.Simplex.Le, 4.0);
-      ([| 0.0; 2.0; 0.5 |], Lp.Simplex.Le, 12.0);
-      ([| 3.0; 2.0; 0.0 |], Lp.Simplex.Le, 18.0);
-      ([| 1.0; 1.0; 1.0 |], Lp.Simplex.Ge, 1.0);
+      ([| 0; 2 |], [| 1.0; 1.0 |], Lp.Simplex.Le, 4.0);
+      ([| 1; 2 |], [| 2.0; 0.5 |], Lp.Simplex.Le, 12.0);
+      ([| 0; 1 |], [| 3.0; 2.0 |], Lp.Simplex.Le, 18.0);
+      ([| 0; 1; 2 |], [| 1.0; 1.0; 1.0 |], Lp.Simplex.Ge, 1.0);
     ]
   in
-  Test.make ~name:"simplex-solve-small"
+  Test.make ~name:"lp-solve-small"
     (Staged.stage (fun () ->
-         ignore (Lp.Simplex.solve ~objective:[| -3.0; -5.0; -1.0 |] ~rows ())))
+         ignore (Lp.Sparse.solve ~objective:[| -3.0; -5.0; -1.0 |] ~rows ())))
 
 let matching_test =
   let rng = Prng.create 1 in
@@ -117,7 +117,7 @@ let run () =
   let tests =
     Test.make_grouped ~name:"kernels"
       [
-        simplex_test;
+        lp_test;
         matching_test;
         alldifferent_test;
         longest_path_test;

@@ -41,15 +41,25 @@ let r2_eval ?(stop = no_stop) ?on_improve ?(now = Obs.Clock.now_s) rng ~eval pro
   let best_plan = ref (Types.random_plan rng problem) in
   let best_cost = ref (eval !best_plan) in
   improved !best_plan !best_cost;
+  (* Later trials draw into two reused buffers, with the same PRNG draws
+     as [Types.random_plan], and copy a plan only when it improves: fewer
+     minor collections, each of which stops every domain of a parallel
+     gang. *)
+  let perm = Array.make (Types.instance_count problem) 0 in
+  let plan = Array.make (Types.node_count problem) 0 in
   let trials = ref 1 in
   while (not (stop ())) && now () < deadline do
-    let plan = Types.random_plan rng problem in
+    for j = 0 to Array.length perm - 1 do
+      perm.(j) <- j
+    done;
+    Prng.shuffle rng perm;
+    Array.blit perm 0 plan 0 (Array.length plan);
     let c = eval plan in
     incr trials;
     if c < !best_cost then begin
       best_cost := c;
-      best_plan := plan;
-      improved plan c
+      best_plan := Array.copy plan;
+      improved !best_plan c
     end
   done;
   Obs.Counter.add c_trials !trials;
@@ -99,23 +109,32 @@ let r2_parallel ?(domains = 4) ?(stop = no_stop) ?on_improve rng objective probl
      nothing but the immutable problem and the merge state above. Trial
      counts are merged atomically inside [r2_eval]'s counter flush (the
      [random_search.trials] counter is a process-global atomic) and
-     summed for the return value below. *)
+     summed for the return value below. The gang never outnumbers the
+     cores, and the calling domain runs the first stream itself: a domain
+     more than the cores only time-slices, and every minor collection
+     waits for all of them. *)
+  let domains = min domains (Domain.recommended_domain_count ()) in
   let seeds = Array.init domains (fun _ -> Prng.split rng) in
-  let worker stream =
-    Domain.spawn (fun () ->
-        r2_eval ~stop ~on_improve:publish stream
-          ~eval:(fun plan -> Cost.eval objective problem plan)
-          problem ~time_limit)
+  let run stream =
+    r2_eval ~stop ~on_improve:publish stream
+      ~eval:(fun plan -> Cost.eval objective problem plan)
+      problem ~time_limit
   in
-  let handles = Array.map worker seeds in
-  let results = Array.map Domain.join handles in
+  let helpers =
+    Array.map (fun stream -> Domain.spawn (fun () -> run stream)) (Array.sub seeds 1 (domains - 1))
+  in
+  let own =
+    match run seeds.(0) with
+    | r -> r
+    | exception e ->
+        Array.iter (fun h -> ignore (Domain.join h)) helpers;
+        raise e
+  in
   Array.fold_left
     (fun (best_plan, best_cost, total) (plan, cost, trials) ->
       if cost < best_cost then (plan, cost, total + trials)
       else (best_plan, best_cost, total + trials))
-    (let p, c, t = results.(0) in
-     (p, c, t))
-    (Array.sub results 1 (Array.length results - 1))
+    own (Array.map Domain.join helpers)
 
 (* ---------- R2 with local descent ---------- *)
 

@@ -64,9 +64,10 @@ val r2_parallel :
     and easier to parallelize, it is possible to explore a larger portion
     of the search space given the same amount of time" (Sect. 4.3.1) — the
     paper's R2 runs "in parallel using the same amount of wall-clock time
-    as well as the same hardware given to the CP or MIP solvers". Spawns
-    [domains] (default 4) OCaml domains, each running an independent
-    PRNG-split stream for [time_limit] seconds; returns the best plan,
+    as well as the same hardware given to the CP or MIP solvers". Runs
+    [domains] (default 4, clamped to [Domain.recommended_domain_count ()])
+    independent PRNG-split streams for [time_limit] seconds, one on the
+    calling domain and one on each spawned domain; returns the best plan,
     its cost, and the total plans tried across domains (per-domain counts
     are merged atomically into the [random_search.trials] counter).
 

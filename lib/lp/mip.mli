@@ -31,6 +31,34 @@ type stats = {
   proven_optimal : bool;
 }
 
+module type RELAXATION = sig
+  val solve_relaxation_basis :
+    ?should_stop:(unit -> bool) ->
+    ?extra:(Model.var * Simplex.relation * float) list ->
+    ?warm_basis:int array ->
+    Model.t ->
+    Simplex.status * int array
+end
+(** What branch and bound needs from an LP kernel: the relaxation with
+    branch rows [extra], warm-started from the parent's [warm_basis],
+    returning its own basis for the children. {!Model} is the production
+    instance. *)
+
+module Make (R : RELAXATION) : sig
+  val solve :
+    ?time_limit:float ->
+    ?node_limit:int ->
+    ?should_stop:(unit -> bool) ->
+    ?strategy:strategy ->
+    ?on_incumbent:(obj:float -> solution:float array -> elapsed:float -> unit) ->
+    ?initial_incumbent:float * float array ->
+    Model.t ->
+    outcome * stats
+end
+(** Branch and bound over any kernel with {!Model}'s relaxation
+    signature, so tests can run the same search over a reference kernel
+    and compare. *)
+
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->
@@ -38,21 +66,19 @@ val solve :
   ?strategy:strategy ->
   ?on_incumbent:(obj:float -> solution:float array -> elapsed:float -> unit) ->
   ?initial_incumbent:float * float array ->
-  ?dense_ceiling:int ->
   Model.t ->
   outcome * stats
-(** [solve m] runs branch and bound. [time_limit] is in seconds (default
-    none); [node_limit] caps explored nodes (default none); [should_stop]
-    is polled once per node — and, with [time_limit], every 32 simplex
-    pivots inside each LP solve, so one large relaxation cannot overrun
-    the budget — and aborts the search like a hit time limit
-    (cooperative cancellation for solver portfolios);
-    [on_incumbent] fires every time a strictly better integer-feasible
-    solution is found; [strategy] picks the exploration order (default
-    {!Depth_first}); [initial_incumbent] seeds the search with a known
-    feasible objective/solution (the paper bootstraps its solvers with the
-    best of 10 random deployments). Integrality tolerance is [1e-6].
-    [dense_ceiling] overrides the tableau-cell threshold below which the
-    relaxations use the dense kernel (forwarded to
-    {!Model.solve_relaxation_basis}); pass [0] to force the sparse
-    revised-simplex path end to end — a testing hook. *)
+(** [solve m] runs branch and bound, every relaxation on the {!Sparse}
+    kernel through {!Model.solve_relaxation_basis}: the root cold, each
+    child warm-started from its parent's optimal basis. [time_limit] is
+    in seconds (default none); [node_limit] caps explored nodes (default
+    none); [should_stop] is polled once per node — and, with
+    [time_limit], before every simplex pivot inside each LP solve, so one
+    large relaxation cannot overrun the budget — and aborts the search
+    like a hit time limit (cooperative cancellation for solver
+    portfolios); [on_incumbent] fires every time a strictly better
+    integer-feasible solution is found; [strategy] picks the exploration
+    order (default {!Depth_first}); [initial_incumbent] seeds the search
+    with a known feasible objective/solution (the paper bootstraps its
+    solvers with the best of 10 random deployments). Integrality
+    tolerance is [1e-6]. *)

@@ -1,8 +1,8 @@
 (** LP/MIP model builder.
 
-    A thin, typed layer over {!Simplex}: declare variables (optionally
-    integer, with bounds), add linear constraints, set a minimization
-    objective, and solve the LP relaxation. The {!Mip} module adds
+    A thin, typed layer over the {!Sparse} kernel: declare variables
+    (optionally integer, with bounds), add linear constraints, set a
+    minimization objective, and solve the LP relaxation. The {!Mip} module adds
     branch-and-bound on top. *)
 
 type t
@@ -32,37 +32,38 @@ val var_name : t -> var -> string
 val is_integer : t -> var -> bool
 val integer_vars : t -> var list
 
-val solve_relaxation :
-  ?should_stop:(unit -> bool) ->
-  ?extra:(var * Simplex.relation * float) list ->
-  t ->
-  Simplex.status
-(** Solve the LP relaxation (integrality dropped), with optional additional
-    single-variable bound rows [var rel rhs] — the branching constraints
-    used by {!Mip}. Finite upper bounds declared on variables are
-    materialized as rows. [should_stop] is forwarded to the simplex kernel,
-    which raises {!Simplex.Aborted} when it fires mid-solve. Equivalent to
-    [fst (solve_relaxation_basis ...)]. *)
+val relaxation_lp :
+  ?extra:(var * Simplex.relation * float) list -> t -> float array * Sparse.row list
+(** The LP relaxation as the kernel receives it: the objective per
+    variable and the rows — base constraints in insertion order, then
+    the declared bounds ([lb > 0] as a [Ge] row, finite [ub] as a [Le]
+    row) in variable order, then [extra] oldest first (the list is read
+    newest first, as {!Mip} prepends each branch). The order is stable
+    under appends, which is what lets a basis of this LP warm-start an
+    extension of it. Integrality is dropped. *)
 
 val solve_relaxation_basis :
   ?should_stop:(unit -> bool) ->
   ?extra:(var * Simplex.relation * float) list ->
   ?warm_basis:int array ->
-  ?dense_ceiling:int ->
   t ->
-  Simplex.status * int array option
-(** Like {!solve_relaxation}, but also returns the optimal basis when the
-    sparse kernel ran. Routing: if the estimated dense tableau fits in
-    [dense_ceiling] (default {!Simplex.max_tableau_cells}) the dense
-    {!Simplex} runs — bit-identical to the historical behaviour — and the
-    basis is [None] ([warm_basis] is ignored: the dense kernel cannot use
-    it). Otherwise the model is handed to {!Sparse} without ever being
-    densified, and the returned stable-label basis can be passed back as
-    [warm_basis] for a re-solve of this model extended with more [extra]
-    rows (each new branch prepended to [extra], as {!Mip} does). Raises
-    {!Simplex.Too_large} only past the sparse kernel's own row cap.
-    [dense_ceiling] exists for tests to force the sparse path on small
-    models; production callers leave it at the default. *)
+  Simplex.status * int array
+(** Solve {!relaxation_lp} on the {!Sparse} kernel and return the status
+    with the final basis in stable column labels. The basis can be passed
+    back as [warm_basis] to re-solve this model extended with more
+    [extra] rows (each new branch prepended to [extra], as {!Mip} does).
+    [should_stop] is forwarded to the kernel, which raises
+    {!Simplex.Aborted} when it fires mid-solve, when its pivot budget
+    runs out or when the model is past its row cap. *)
+
+val solve_relaxation :
+  ?should_stop:(unit -> bool) ->
+  ?extra:(var * Simplex.relation * float) list ->
+  t ->
+  Simplex.status
+(** [fst (solve_relaxation_basis ...)] from a cold start: the
+    relaxation, with optional single-variable bound rows [var rel rhs]
+    (the branching constraints {!Mip} adds). *)
 
 val value : float array -> var -> float
 (** Read a variable out of a solution vector returned by the solver. *)

@@ -1,15 +1,9 @@
-(** Two-phase primal simplex on the dense tableau.
+(** The LP vocabulary shared by the model builder, the kernel and branch
+    and bound.
 
-    Solves  minimize cᵀx  subject to  Ax {≤,=,≥} b,  x ≥ 0.
-
-    This is the LP kernel underneath the branch-and-bound MIP solver
-    ({!Mip}). The implementation is the textbook two-phase tableau method:
-    phase 1 minimizes the sum of artificial variables to find a basic
-    feasible solution; phase 2 minimizes the true objective. Pricing is
-    Dantzig (most negative reduced cost) with an automatic switch to Bland's
-    rule after an iteration threshold, which guarantees termination in the
-    presence of degeneracy. Dense storage is adequate for the problem sizes
-    in this repository (thousands of rows). *)
+    Problems are  minimize cᵀx  subject to  Ax {≤,=,≥} b,  x ≥ 0. The one
+    kernel that solves them is {!Sparse}; {!Model} builds its rows and
+    {!Mip} branches on top. *)
 
 type relation = Le | Ge | Eq
 
@@ -19,37 +13,8 @@ type status =
   | Unbounded
 
 exception Aborted
-(** Raised out of {!solve} when [should_stop] returns [true] — or when the
-    [max_iters] pivot budget is exhausted: the tableau is abandoned
-    mid-solve with no usable status. Cooperative cancellation for callers
-    racing the solver against a wall-clock budget; exhausting the pivot
-    budget is the same contract (a budget hit, not an internal error), so
-    MIP callers degrade to their incumbent instead of crashing. *)
-
-exception Too_large
-(** Raised by {!solve} before any allocation when the dense tableau would
-    exceed {!max_tableau_cells} — past that size a pivot costs tens of
-    Mflop and building the tableau alone takes gigabytes, so the solve
-    could never finish within a realistic budget. *)
-
-val max_tableau_cells : int
-(** The refusal threshold, in tableau cells (rows × columns). *)
-
-val solve :
-  ?max_iters:int ->
-  ?should_stop:(unit -> bool) ->
-  objective:float array ->
-  rows:(float array * relation * float) list ->
-  unit ->
-  status
-(** [solve ~objective ~rows ()] minimizes [objective]·x over x ≥ 0 subject
-    to [rows], each [(coeffs, rel, rhs)] with [coeffs] of the same length as
-    [objective]. [max_iters] (default [50_000]) bounds total pivots across
-    both phases; exceeding it raises {!Aborted} (a budget hit, handled like
-    a cooperative stop). The Dantzig→Bland anti-cycling switch triggers
-    after [max_iters / 2] pivots {e of the current phase} — per phase, not
-    cumulative, so a long phase 1 cannot force phase 2 into pure Bland
-    pricing. [should_stop] is polled every 32 pivots; when it returns
-    [true], {!Aborted} is raised — without it a single large LP can overrun
-    any caller-side time limit, which is only checked between solves.
-    Raises [Invalid_argument] on dimension mismatches. *)
+(** Raised out of an LP solve when its [should_stop] returns [true], when
+    the [max_iters] pivot budget is exhausted, or when the model is past
+    the kernel's row cap: the solve is abandoned with no usable status.
+    All three are budget hits, not internal errors, so MIP callers keep
+    their incumbent instead of crashing. *)

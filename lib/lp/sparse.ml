@@ -1,12 +1,10 @@
-(* Sparse revised simplex: the LP kernel for models past the dense-tableau
-   ceiling.
+(* Sparse revised simplex: the LP kernel behind every relaxation.
 
-   The dense two-phase kernel ({!Simplex}) materializes an m x ncols
-   tableau and refuses models over [max_tableau_cells]. This kernel keeps
-   the constraint matrix in CSC form and represents the basis inverse as a
+   The constraint matrix is kept in CSC form and the basis inverse is a
    product of elementary (eta) matrices rebuilt by periodic
-   refactorization, so memory is O(nonzeros + eta fill) and a pivot costs
-   O(nonzeros touched) instead of O(m * ncols).
+   refactorization, so memory is O(nonzeros + eta fill) and a pivot
+   costs O(nonzeros touched) instead of the O(m * ncols) row sweep of a
+   dense tableau.
 
    Column labels are *stable across row appends*: structural variable j is
    column j, the slack/surplus of row r is [nvars + 2r], the artificial of
@@ -34,6 +32,36 @@ let c_iterations = Obs.Counter.make "lp.sparse.iterations"
 let c_refactors = Obs.Counter.make "lp.sparse.refactorizations"
 let c_warm = Obs.Counter.make "lp.sparse.warm_starts"
 let c_dual_pivots = Obs.Counter.make "lp.sparse.dual_pivots"
+
+(* Per-phase latency, recorded only under tracing (the sink check is
+   hoisted out of each pivot loop). The six phases are disjoint and
+   together cover the pivot loops; [lp.pivot_ns] is the whole iteration
+   of each completed pivot. *)
+let h_pivot = Obs.Histogram.make "lp.pivot_ns"
+let h_btran = Obs.Histogram.make "lp.btran_ns"
+let h_pricing = Obs.Histogram.make "lp.pricing_ns"
+let h_ftran = Obs.Histogram.make "lp.ftran_ns"
+let h_ratio = Obs.Histogram.make "lp.ratio_ns"
+let h_update = Obs.Histogram.make "lp.update_ns"
+let h_refactor = Obs.Histogram.make "lp.refactor_ns"
+
+(* Clock reads for the phase histograms: [0L] without tracing, so the
+   untraced path reads no clock. [lap] records the time since [t0] and
+   returns the new reading. *)
+let[@inline] now_if timed = if timed then Obs.Clock.now_ns () else 0L
+
+let[@inline] lap timed h t0 =
+  if timed then begin
+    let t = Obs.Clock.now_ns () in
+    Obs.Histogram.record_ns h (Int64.sub t t0);
+    t
+  end
+  else 0L
+
+(* Models past this many rows are refused up front: the per-iteration
+   dense work vectors and the eta fill stop fitting any realistic budget
+   long before. *)
+let max_rows = 500_000
 
 (* ---- problem in computational standard form ---- *)
 
@@ -215,6 +243,8 @@ exception Singular
    the caller falls back to a cold start. *)
 let refactorize s =
   Obs.Counter.incr c_refactors;
+  let timed = Obs.Sink.enabled () in
+  let t0 = now_if timed in
   s.n_etas <- 0;
   let m = s.p.m in
   let pivoted = Array.make m false in
@@ -270,7 +300,8 @@ let refactorize s =
     if not pivoted.(r) then
       if not (place (art_label s.p.nvars r)) then raise Singular
   done;
-  s.fresh_etas <- 0
+  s.fresh_etas <- 0;
+  ignore (lap timed h_refactor t0 : int64)
 
 let recompute_xb s =
   Array.blit s.p.rhs 0 s.xb 0 s.p.m;
@@ -336,38 +367,55 @@ type phase_result = Phase_optimal | Phase_unbounded
 
 exception Fallback_cold
 
-let apply_pivot s w ~row ~col =
+(* Append the pivot's eta and bring the basic values up to date. The
+   update histogram excludes a refactorization falling due here, which
+   records its own. *)
+let apply_pivot s w ~row ~col ~timed =
+  let t0 = now_if timed in
   push_eta s (eta_of_direction s w row);
   s.fresh_etas <- s.fresh_etas + 1;
   s.in_basis.(s.basis.(row)) <- false;
   s.in_basis.(col) <- true;
   s.basis.(row) <- col;
+  let t1 = now_if timed in
   if s.fresh_etas >= refactor_every then refactorize s;
-  recompute_xb s
+  let t2 = now_if timed in
+  recompute_xb s;
+  if timed then
+    Obs.Histogram.record_ns h_update
+      (Int64.add (Int64.sub t1 t0) (Int64.sub (Obs.Clock.now_ns ()) t2))
 
-let run_primal s ~cost ~max_iters ~iter_count ~should_stop =
+(* [@cloudia.hot]: the primal pivot loop is where every relaxation spends
+   its time; pass A003 keeps its body allocation-free. *)
+let[@cloudia.hot] run_primal s ~cost ~max_iters ~iter_count ~should_stop =
   let banned = Array.make s.p.ncols false in
   let entry = !iter_count in
   let result = ref Phase_optimal in
   let continue = ref true in
   let cb = Array.make (max s.p.m 1) 0.0 in
+  let timed = Obs.Sink.enabled () in
   while !continue do
     if !iter_count > max_iters then raise Simplex.Aborted;
     if should_stop () then raise Simplex.Aborted;
     (* y = B^{-T} c_B, then price all non-basic columns. The anti-cycling
        switch counts pivots of this phase only. *)
+    let start = now_if timed in
     for i = 0 to s.p.m - 1 do
       cb.(i) <- cost s.basis.(i)
     done;
     btran s cb;
+    let t = lap timed h_btran start in
     let bland = !iter_count - entry >= max_iters / 2 in
     let col = choose_entering s ~cost ~y:cb ~bland ~banned in
+    let t = lap timed h_pricing t in
     if col = -1 then continue := false
     else begin
       Array.fill s.work 0 s.p.m 0.0;
       scatter_col s.p col s.work;
       ftran s s.work;
+      let t = lap timed h_ftran t in
       let row = choose_leaving s s.work in
+      ignore (lap timed h_ratio t : int64);
       if row = -1 then begin
         result := Phase_unbounded;
         continue := false
@@ -380,9 +428,10 @@ let run_primal s ~cost ~max_iters ~iter_count ~should_stop =
         banned.(col) <- true
       end
       else begin
-        apply_pivot s s.work ~row ~col;
+        apply_pivot s s.work ~row ~col ~timed;
         Array.fill banned 0 s.p.ncols false;
-        incr iter_count
+        incr iter_count;
+        ignore (lap timed h_pivot start : int64)
       end
     end
   done;
@@ -399,57 +448,76 @@ let run_primal s ~cost ~max_iters ~iter_count ~should_stop =
    grinding past that is slower than re-solving from scratch. *)
 let dual_budget = 50
 
-let run_dual s ~max_iters ~iter_count ~should_stop =
+(* The leaving row: the most negative basic value, or -1 when the basis
+   is primal feasible. *)
+let choose_dual_row s =
+  let row = ref (-1) and worst = ref (-1e-7) in
+  for i = 0 to s.p.m - 1 do
+    if s.xb.(i) < !worst then begin
+      worst := s.xb.(i);
+      row := i
+    end
+  done;
+  !row
+
+(* The entering column for pivot row [rho] (= e_r B^{-1}) under duals
+   [cb]: the smallest dual ratio, or -1 when no column can enter. *)
+let choose_dual_col s ~rho ~cb =
+  let best = ref (-1) and best_ratio = ref infinity in
+  for j = 0 to s.p.ncols - 1 do
+    if s.p.col_ok.(j) && (not s.in_basis.(j)) && not (is_artificial s.p.nvars j) then begin
+      let alpha = dot_col s.p j rho in
+      if alpha < -.eps then begin
+        let d = Float.max 0.0 (s.p.obj.(j) -. dot_col s.p j cb) in
+        let ratio = d /. -.alpha in
+        if ratio < !best_ratio -. eps then begin
+          best_ratio := ratio;
+          best := j
+        end
+      end
+    end
+  done;
+  !best
+
+let[@cloudia.hot] run_dual s ~max_iters ~iter_count ~should_stop =
   let feasible = ref false and infeasible = ref false in
   let rho = Array.make (max s.p.m 1) 0.0 in
   let cb = Array.make (max s.p.m 1) 0.0 in
   let pivots = ref 0 in
+  let timed = Obs.Sink.enabled () in
   while (not !feasible) && not !infeasible do
     if !iter_count > max_iters then raise Simplex.Aborted;
     if should_stop () then raise Simplex.Aborted;
     if !pivots >= dual_budget then raise Fallback_cold;
-    let row = ref (-1) and worst = ref (-1e-7) in
-    for i = 0 to s.p.m - 1 do
-      if s.xb.(i) < !worst then begin
-        worst := s.xb.(i);
-        row := i
+    let start = now_if timed in
+    let r = choose_dual_row s in
+    let t = lap timed h_pricing start in
+    if r = -1 then feasible := true
+    else begin
+      Array.fill rho 0 s.p.m 0.0;
+      rho.(r) <- 1.0;
+      btran s rho;
+      for i = 0 to s.p.m - 1 do
+        cb.(i) <- s.p.obj.(s.basis.(i))
+      done;
+      btran s cb;
+      let t = lap timed h_btran t in
+      let col = choose_dual_col s ~rho ~cb in
+      let t = lap timed h_ratio t in
+      if col = -1 then infeasible := true
+      else begin
+        Array.fill s.work 0 s.p.m 0.0;
+        scatter_col s.p col s.work;
+        ftran s s.work;
+        ignore (lap timed h_ftran t : int64);
+        if Float.abs s.work.(r) < piv_tol then raise Fallback_cold;
+        apply_pivot s s.work ~row:r ~col ~timed;
+        Obs.Counter.incr c_dual_pivots;
+        incr pivots;
+        incr iter_count;
+        ignore (lap timed h_pivot start : int64)
       end
-    done;
-    match !row with
-    | -1 -> feasible := true
-    | r ->
-        Array.fill rho 0 s.p.m 0.0;
-        rho.(r) <- 1.0;
-        btran s rho;
-        for i = 0 to s.p.m - 1 do
-          cb.(i) <- s.p.obj.(s.basis.(i))
-        done;
-        btran s cb;
-        let best = ref (-1) and best_ratio = ref infinity in
-        for j = 0 to s.p.ncols - 1 do
-          if s.p.col_ok.(j) && (not s.in_basis.(j)) && not (is_artificial s.p.nvars j) then begin
-            let alpha = dot_col s.p j rho in
-            if alpha < -.eps then begin
-              let d = Float.max 0.0 (s.p.obj.(j) -. dot_col s.p j cb) in
-              let ratio = d /. -.alpha in
-              if ratio < !best_ratio -. eps then begin
-                best_ratio := ratio;
-                best := j
-              end
-            end
-          end
-        done;
-        (match !best with
-        | -1 -> infeasible := true
-        | col ->
-            Array.fill s.work 0 s.p.m 0.0;
-            scatter_col s.p col s.work;
-            ftran s s.work;
-            if Float.abs s.work.(r) < piv_tol then raise Fallback_cold;
-            apply_pivot s s.work ~row:r ~col;
-            Obs.Counter.incr c_dual_pivots;
-            incr pivots;
-            incr iter_count)
+    end
   done;
   not !infeasible
 
@@ -554,7 +622,9 @@ let solve_warm p cold warm ~max_iters ~should_stop ~objective ~iter_count =
 let solve ?(max_iters = 50_000) ?(should_stop = fun () -> false) ?warm_basis ~objective
     ~(rows : row list) () =
   Obs.Counter.incr c_solves;
-  let p, cold = build ~objective ~rows:(Array.of_list rows) in
+  let rows = Array.of_list rows in
+  if Array.length rows > max_rows then raise Simplex.Aborted;
+  let p, cold = build ~objective ~rows in
   let iter_count = ref 0 in
   let result =
     match warm_basis with

@@ -1,12 +1,11 @@
-(** Sparse revised simplex for LPs past the dense-tableau ceiling.
+(** Sparse revised simplex: the LP kernel behind every relaxation.
 
-    Solves the same problem class as {!Simplex} — minimize cᵀx subject to
-    Ax {≤,=,≥} b, x ≥ 0 — but keeps the constraint matrix in compressed
-    sparse column form and the basis inverse as a product-form eta file
-    with periodic refactorization, so memory and pivot cost scale with the
-    nonzero count instead of rows × columns. {!Model.solve_relaxation_basis}
-    selects this kernel automatically when the dense tableau would exceed
-    {!Simplex.max_tableau_cells}.
+    Solves  minimize cᵀx  subject to  Ax {≤,=,≥} b,  x ≥ 0, keeping the
+    constraint matrix in compressed sparse column form and the basis
+    inverse as a product-form eta file with periodic refactorization, so
+    memory and pivot cost scale with the nonzero count instead of rows ×
+    columns. {!Model.solve_relaxation_basis} and {!Mip} reach it for
+    every LP they solve.
 
     Basic variables are identified by {e stable column labels} that survive
     row appends: structural variable [j] is column [j]; the slack/surplus
@@ -15,7 +14,13 @@
     model that extends the row list, which is what lets branch and bound
     warm-start each child from its parent's optimal basis: the appended
     branch rows enter on their own slacks and a handful of dual simplex
-    pivots restore primal feasibility (or prove the child infeasible). *)
+    pivots restore primal feasibility (or prove the child infeasible).
+
+    Under tracing ({!Obs.Sink.enabled}) each solve records per-phase
+    latency histograms — [lp.btran_ns], [lp.pricing_ns], [lp.ftran_ns],
+    [lp.ratio_ns], [lp.update_ns], [lp.refactor_ns] — and the whole
+    iteration of each pivot as [lp.pivot_ns]; untraced solves read no
+    clock. *)
 
 type row = int array * float array * Simplex.relation * float
 (** One constraint in sparse form: [(vars, coeffs, relation, rhs)] with
@@ -48,7 +53,7 @@ val solve :
     infeasibility — falling back to a cold start if the warm basis turns
     out singular or cannot certify a solution. [max_iters] (default
     [50_000]) bounds total pivots; exhausting it, like [should_stop]
-    returning [true], raises {!Simplex.Aborted} (budget semantics
-    identical to the dense kernel). Pricing is Dantzig with a per-phase
-    switch to Bland's rule after [max_iters / 2] in-phase pivots.
-    Raises [Invalid_argument] on malformed rows. *)
+    returning [true] (polled before every pivot) or a model of more than
+    500,000 rows, raises {!Simplex.Aborted}. Pricing is Dantzig with a
+    per-phase switch to Bland's rule after [max_iters / 2] in-phase
+    pivots. Raises [Invalid_argument] on malformed rows. *)

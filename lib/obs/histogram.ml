@@ -12,7 +12,11 @@ type t = {
   alpha : float;
   log_gamma : float;
   lo : int; (* absolute index of the lowest tracked bucket *)
-  buckets : int Atomic.t array; (* absolute index i lives at buckets.(i - lo) *)
+  width : int; (* number of tracked buckets *)
+  buckets : int Atomic.t array Atomic.t;
+      (* absolute index i lives at buckets.(i - lo); empty until the first
+         record, so a registered histogram nothing records into costs a
+         few words instead of ~2.8k atomics *)
   zero : int Atomic.t; (* values <= 0 *)
   count : int Atomic.t;
   sum : float Atomic.t;
@@ -40,7 +44,8 @@ let create ?(alpha = default_alpha) name =
     alpha;
     log_gamma;
     lo;
-    buckets = Array.init (hi - lo + 1) (fun _ -> Atomic.make 0);
+    width = hi - lo + 1;
+    buckets = Atomic.make [||];
     zero = Atomic.make 0;
     count = Atomic.make 0;
     sum = Atomic.make 0.0;
@@ -78,6 +83,16 @@ let rec update_max cell x =
   let old = Atomic.get cell in
   if x > old && not (Atomic.compare_and_set cell old x) then update_max cell x
 
+(* The bucket array, allocated by the first caller; a racing second
+   allocation loses the CAS and adopts the winner's. *)
+let buckets h =
+  let b = Atomic.get h.buckets in
+  if Array.length b > 0 then b
+  else begin
+    ignore (Atomic.compare_and_set h.buckets b (Array.init h.width (fun _ -> Atomic.make 0)));
+    Atomic.get h.buckets
+  end
+
 let record h v =
   if not (Float.is_nan v) then begin
     ignore (Atomic.fetch_and_add h.count 1);
@@ -88,14 +103,12 @@ let record h v =
     else begin
       let slot =
         if v <= min_trackable then 0
-        else if v >= max_trackable then Array.length h.buckets - 1
+        else if v >= max_trackable then h.width - 1
         else
           let i = int_of_float (Float.ceil (Float.log v /. h.log_gamma)) - h.lo in
-          if i < 0 then 0
-          else if i >= Array.length h.buckets then Array.length h.buckets - 1
-          else i
+          if i < 0 then 0 else if i >= h.width then h.width - 1 else i
       in
-      ignore (Atomic.fetch_and_add h.buckets.(slot) 1)
+      ignore (Atomic.fetch_and_add (buckets h).(slot) 1)
     end
   end
 
@@ -113,9 +126,10 @@ type snapshot = {
 }
 
 let snapshot_of h =
+  let cells = Atomic.get h.buckets in
   let buckets = ref [] in
-  for i = Array.length h.buckets - 1 downto 0 do
-    let c = Atomic.get h.buckets.(i) in
+  for i = Array.length cells - 1 downto 0 do
+    let c = Atomic.get cells.(i) in
     if c > 0 then buckets := (h.lo + i, c) :: !buckets
   done;
   {
@@ -196,7 +210,7 @@ let reset_all () =
   Mutex.protect registry_mu (fun () ->
       Hashtbl.iter
         (fun _ h ->
-          Array.iter (fun c -> Atomic.set c 0) h.buckets;
+          Array.iter (fun c -> Atomic.set c 0) (Atomic.get h.buckets);
           Atomic.set h.zero 0;
           Atomic.set h.count 0;
           Atomic.set h.sum 0.0;

@@ -6,9 +6,11 @@
     relative error of [alpha] of every value in the interval — so every
     quantile estimate carries the same bound, independent of the data.
 
-    Memory is fixed at creation (one [int Atomic.t] per bucket over the
-    trackable range ~1e-9 .. 1e15, ~2.8k buckets at the default
-    [alpha = 0.01]); recording is lock-free and domain-safe (one
+    Memory is fixed at the first record (one [int Atomic.t] per bucket
+    over the trackable range ~1e-9 .. 1e15, ~2.8k buckets at the default
+    [alpha = 0.01]); until then a histogram costs a few words, so
+    registering one for an instrumented path that runs untraced costs
+    nothing. Recording is lock-free and domain-safe (one
     [fetch_and_add] on the bucket plus CAS loops for the float
     accumulators), so hot loops on several domains can share one
     histogram. Like {!Counter} and {!Gauge}, histograms are process-global

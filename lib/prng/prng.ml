@@ -1,34 +1,38 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh value on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* SplitMix64 output function: advance by the golden gamma, then mix. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
   let b = Int64.of_int bound in
-  let rec loop () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r b in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then loop ()
-    else Int64.to_int v
-  in
-  loop ()
+  let limit = Int64.sub (Int64.sub Int64.max_int b) 1L in
+  let r = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while Int64.sub !r (Int64.rem !r b) > limit do
+    r := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !r b)
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";

@@ -1,6 +1,10 @@
 open Lp
 
-(* Tests for the simplex kernel and the branch-and-bound MIP solver. *)
+(* Tests for the LP kernels and the branch-and-bound MIP solver. The
+   "simplex" cases pin down the dense reference tableau
+   ([Lp_reference.Dense]); the "sparse" cases hold the production kernel
+   to it, and the differential cases run the same branch and bound over
+   both. *)
 
 let check_float name ?(tol = 1e-6) expected actual =
   Alcotest.(check bool)
@@ -8,9 +12,9 @@ let check_float name ?(tol = 1e-6) expected actual =
     true
     (Float.abs (expected -. actual) <= tol)
 
-(* ---------- Simplex ---------- *)
+(* ---------- Dense reference simplex ---------- *)
 
-let solve_simplex objective rows = Simplex.solve ~objective ~rows ()
+let solve_simplex objective rows = Lp_reference.Dense.solve ~objective ~rows ()
 
 let test_simplex_basic_max () =
   (* max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (classic Dantzig
@@ -84,7 +88,7 @@ let test_simplex_degenerate () =
   | _ -> Alcotest.fail "expected optimal (anti-cycling)"
 
 let test_simplex_dimension_mismatch () =
-  Alcotest.check_raises "row length" (Invalid_argument "Simplex.solve: row length mismatch")
+  Alcotest.check_raises "row length" (Invalid_argument "Dense.solve: row length mismatch")
     (fun () -> ignore (solve_simplex [| 1.0; 2.0 |] [ ([| 1.0 |], Simplex.Le, 1.0) ]))
 
 (* ---------- Model ---------- *)
@@ -382,7 +386,7 @@ let test_sparse_iteration_budget_aborts () =
 let test_dense_iteration_budget_aborts () =
   Alcotest.check_raises "dense budget" Simplex.Aborted (fun () ->
       ignore
-        (Simplex.solve ~max_iters:1 ~objective:[| -3.0; -5.0 |]
+        (Lp_reference.Dense.solve ~max_iters:1 ~objective:[| -3.0; -5.0 |]
            ~rows:
              [
                ([| 1.0; 0.0 |], Simplex.Le, 4.0);
@@ -414,12 +418,12 @@ let test_sparse_dense_bit_identical () =
   let w i j = 0.25 *. float_of_int ((((i * 7) + (j * 3)) mod 4) + 1) in
   let m, _ = assignment_model 6 w in
   let dense =
-    match fst (Model.solve_relaxation_basis m) with
+    match Lp_reference.Dense.solve_relaxation m with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "dense: expected optimal"
   in
   let sparse =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 m) with
+    match Model.solve_relaxation m with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "sparse: expected optimal"
   in
@@ -432,19 +436,19 @@ let test_sparse_warm_basis_matches_cold () =
   let w i j = if i = j then 1.0 else 3.0 +. float_of_int ((i + (2 * j)) mod 3) in
   let m, x = assignment_model 4 w in
   let basis =
-    match Model.solve_relaxation_basis ~dense_ceiling:0 m with
-    | Simplex.Optimal _, Some b -> b
-    | _ -> Alcotest.fail "parent: expected optimal with basis"
+    match Model.solve_relaxation_basis m with
+    | Simplex.Optimal _, b -> b
+    | _ -> Alcotest.fail "parent: expected optimal"
   in
   (* Force the first (diagonal, hence basic) variable out of the plan. *)
   let extra = [ (x.(0).(0), Simplex.Le, 0.0) ] in
   let warm =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra ~warm_basis:basis m) with
+    match fst (Model.solve_relaxation_basis ~extra ~warm_basis:basis m) with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "warm child: expected optimal"
   in
   let cold =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra m) with
+    match Model.solve_relaxation ~extra m with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "cold child: expected optimal"
   in
@@ -458,35 +462,212 @@ let test_sparse_warm_infeasible_branch () =
   let y = Model.add_var m ~ub:3.0 ~obj:1.0 "y" in
   Model.add_constraint m [ (x, 1.0); (y, 1.0) ] Simplex.Ge 2.0;
   let basis =
-    match Model.solve_relaxation_basis ~dense_ceiling:0 m with
-    | Simplex.Optimal _, Some b -> b
-    | _ -> Alcotest.fail "parent: expected optimal with basis"
+    match Model.solve_relaxation_basis m with
+    | Simplex.Optimal _, b -> b
+    | _ -> Alcotest.fail "parent: expected optimal"
   in
   let extra = [ (x, Simplex.Ge, 5.0) ] in
-  match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra ~warm_basis:basis m) with
+  match fst (Model.solve_relaxation_basis ~extra ~warm_basis:basis m) with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible child"
 
-let test_mip_dense_ceiling_equivalence () =
-  (* Mip.solve with every relaxation forced through the sparse kernel must
-     reproduce the dense-path optima on the standard fixtures. *)
+let test_mip_reference_equivalence () =
+  (* Mip.solve on the production kernel must reproduce the optima of the
+     same branch and bound over the dense reference kernel. *)
   let m = Model.create () in
   let a = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-10.0) "a" in
   let b = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-13.0) "b" in
   let c = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-7.0) "c" in
   Model.add_constraint m [ (a, 3.0); (b, 4.0); (c, 2.0) ] Simplex.Le 6.0;
-  (match Mip.solve ~dense_ceiling:0 m with
-  | Mip.Mip_optimal (obj, sol), stats ->
-      check_float "knapsack objective" (-20.0) obj;
-      check_float "b chosen" 1.0 (Model.value sol b);
-      check_float "c chosen" 1.0 (Model.value sol c);
-      Alcotest.(check bool) "proved" true stats.Mip.proven_optimal
-  | _ -> Alcotest.fail "sparse knapsack: expected optimal");
+  List.iter
+    (fun (path, outcome) ->
+      match outcome with
+      | Mip.Mip_optimal (obj, sol), stats ->
+          check_float (path ^ " knapsack objective") (-20.0) obj;
+          check_float (path ^ " b chosen") 1.0 (Model.value sol b);
+          check_float (path ^ " c chosen") 1.0 (Model.value sol c);
+          Alcotest.(check bool) (path ^ " proved") true stats.Mip.proven_optimal
+      | _ -> Alcotest.fail (path ^ " knapsack: expected optimal"))
+    [ ("sparse", Mip.solve m); ("dense", Lp_reference.Mip.solve m) ];
   let m2, _ = assignment_model ~integer:true 3 (fun i j -> if i = j then 1.0 else 10.0) in
-  match (Mip.solve ~dense_ceiling:0 m2, Mip.solve m2) with
+  match (Mip.solve m2, Lp_reference.Mip.solve m2) with
   | (Mip.Mip_optimal (os, _), _), (Mip.Mip_optimal (od, _), _) ->
       check_float "assignment sparse vs dense" ~tol:1e-9 od os
   | _ -> Alcotest.fail "assignment: expected optimal on both paths"
+
+(* ---------- Differential: one branch and bound, two LP kernels ---------- *)
+
+(* The paper's MIP encodings, built as Cloudia.Mip_solver builds them:
+   assignment rows over an m x m padded x, then the linearized max
+   c >= CL(j,j')(x_ij + x_i'j' - 1) per edge for LLNDP, or per-edge cost
+   and longest-prefix rows under t for LPNDP. Returns the model and the
+   decoder from a solution vector to a plan. *)
+let deployment_model objective (p : Cloudia.Types.problem) =
+  let n = Cloudia.Types.node_count p and m = Cloudia.Types.instance_count p in
+  let edges = Graphs.Digraph.edges p.Cloudia.Types.graph in
+  let model = Model.create () in
+  let x =
+    Array.init m (fun i ->
+        Array.init m (fun j -> Model.add_var model ~integer:true ~ub:1.0 (Printf.sprintf "x%d_%d" i j)))
+  in
+  (* The variable each edge's linearized max bounds, and for LPNDP the
+     longest-prefix variables t_i and their maximum t. *)
+  let edge_var, prefix =
+    match objective with
+    | Cloudia.Cost.Longest_link ->
+        let c = Model.add_var model ~obj:1.0 "c" in
+        ((fun _ -> c), None)
+    | Cloudia.Cost.Longest_path ->
+        let e = Array.mapi (fun k _ -> Model.add_var model (Printf.sprintf "e%d" k)) edges in
+        let t = Array.init n (fun i -> Model.add_var model (Printf.sprintf "t%d" i)) in
+        let t_max = Model.add_var model ~obj:1.0 "t" in
+        ((fun k -> e.(k)), Some (t, t_max))
+  in
+  for j = 0 to m - 1 do
+    Model.add_constraint model (List.init m (fun i -> (x.(i).(j), 1.0))) Simplex.Eq 1.0
+  done;
+  for i = 0 to m - 1 do
+    Model.add_constraint model (List.init m (fun j -> (x.(i).(j), 1.0))) Simplex.Eq 1.0
+  done;
+  Array.iteri
+    (fun k (i, i') ->
+      for j = 0 to m - 1 do
+        for j' = 0 to m - 1 do
+          let c = Lat_matrix.get p.Cloudia.Types.lat j j' in
+          if j <> j' && c > 0.0 then
+            Model.add_constraint model
+              [ (x.(i).(j), c); (x.(i').(j'), c); (edge_var k, -1.0) ]
+              Simplex.Le c
+        done
+      done;
+      match prefix with
+      | Some (t, _) ->
+          Model.add_constraint model [ (t.(i), 1.0); (t.(i'), -1.0); (edge_var k, 1.0) ] Simplex.Le 0.0
+      | None -> ())
+    edges;
+  (match prefix with
+  | Some (t, t_max) ->
+      Array.iter (fun ti -> Model.add_constraint model [ (ti, 1.0); (t_max, -1.0) ] Simplex.Le 0.0) t
+  | None -> ());
+  let plan sol =
+    Array.init n (fun i ->
+        let found = ref (-1) in
+        for j = 0 to m - 1 do
+          if Model.value sol x.(i).(j) > 0.5 then found := j
+        done;
+        !found)
+  in
+  (model, plan)
+
+(* Up to 4 nodes on up to 6 instances, so Brute_force is the oracle;
+   costs are multiples of 1/4, so every cost is exact in binary. LPNDP
+   graphs only point forward (a DAG). *)
+let random_deployment rng objective =
+  let n = 2 + Prng.int rng 3 in
+  let m = n + Prng.int rng 3 in
+  let forward = objective = Cloudia.Cost.Longest_path in
+  let edges = ref [ (0, 1) ] in
+  for i = 0 to n - 1 do
+    for i' = 0 to n - 1 do
+      if i <> i' && (i, i') <> (0, 1) && ((not forward) || i < i') && Prng.int rng 3 = 0 then
+        edges := (i, i') :: !edges
+    done
+  done;
+  let costs =
+    Array.init m (fun j ->
+        Array.init m (fun j' -> if j = j' then 0.0 else 0.25 *. float_of_int (1 + Prng.int rng 8)))
+  in
+  Cloudia.Types.problem ~graph:(Graphs.Digraph.create ~n !edges) ~costs
+
+(* Every returned point satisfies every row of the relaxation it came
+   from, is non-negative, and is integral on the integer variables. *)
+let mip_point_feasible model sol =
+  let _, rows = Model.relaxation_lp model in
+  Array.for_all (fun v -> v >= -1e-9) sol
+  && List.for_all
+       (fun (vars, coeffs, rel, rhs) ->
+         let lhs = ref 0.0 in
+         Array.iteri (fun k v -> lhs := !lhs +. (coeffs.(k) *. sol.(v))) vars;
+         match rel with
+         | Simplex.Le -> !lhs <= rhs +. 1e-6
+         | Simplex.Ge -> !lhs >= rhs -. 1e-6
+         | Simplex.Eq -> Float.abs (!lhs -. rhs) <= 1e-6)
+       rows
+  && List.for_all
+       (fun v ->
+         let x = Model.value sol v in
+         Float.abs (x -. Float.round x) <= 1e-6)
+       (Model.integer_vars model)
+
+(* A relaxation that logs each LP it solves, oldest last: its branch rows
+   and its status. One application, one log. *)
+module Logged (R : Mip.RELAXATION) = struct
+  let log = ref []
+
+  let solve_relaxation_basis ?should_stop ?(extra = []) ?warm_basis m =
+    let ((status, _) as r) = R.solve_relaxation_basis ?should_stop ~extra ?warm_basis m in
+    log := (extra, status) :: !log;
+    r
+end
+
+(* The same node-limited branch and bound over the production kernel and
+   over the dense reference, on random LLNDP and LPNDP encodings. The
+   deployment LPs are degenerate: most have several optimal vertices, and
+   the two kernels need not pick the same one, after which the searches
+   branch differently. So the two node logs are walked in step up to the
+   first node whose branch rows or LP point differ, and every node up to
+   and including it must have the same status and the same LP objective
+   (within 1e-9): the divergence is a tie between equal-cost LP optima.
+   Searches that never diverge must return the same plan. Every returned
+   point must be feasible, and every proof of optimality must give
+   Brute_force's cost to the bit. *)
+let test_mip_differential () =
+  let bits = Int64.bits_of_float in
+  for seed = 0 to 47 do
+    let objective =
+      if seed mod 2 = 0 then Cloudia.Cost.Longest_link else Cloudia.Cost.Longest_path
+    in
+    let p = random_deployment (Prng.create (500 + seed)) objective in
+    let model, plan_of = deployment_model objective p in
+    let name fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+    let cost plan = Cloudia.Cost.eval objective p plan in
+    let optimum = lazy (snd (Cloudia.Brute_force.solve objective p)) in
+    let point kernel = function
+      | Mip.Mip_optimal (obj, sol), stats | Mip.Mip_feasible (obj, sol), stats ->
+          Alcotest.(check bool) (name "%s point feasible" kernel) true (mip_point_feasible model sol);
+          let plan = plan_of sol in
+          if stats.Mip.proven_optimal then
+            Alcotest.(check int64) (name "%s proof = brute force" kernel)
+              (bits (Lazy.force optimum)) (bits (cost plan));
+          (obj, plan)
+      | (Mip.Mip_infeasible | Mip.Mip_unbounded), _ ->
+          Alcotest.fail (name "%s: a deployment always exists" kernel)
+    in
+    let module S = Logged (Model) in
+    let module D = Logged (Lp_reference.Dense) in
+    let module Sparse_mip = Mip.Make (S) in
+    let module Dense_mip = Mip.Make (D) in
+    let sparse_obj, sparse_plan = point "sparse" (Sparse_mip.solve ~node_limit:40 model) in
+    let dense_obj, dense_plan = point "dense" (Dense_mip.solve ~node_limit:40 model) in
+    let same_lp k a b =
+      match (a, b) with
+      | Simplex.Optimal (oa, xa), Simplex.Optimal (ob, xb) ->
+          check_float (name "LP %d objective" k) ~tol:1e-9 oa ob;
+          Array.for_all2 (fun u v -> Float.abs (u -. v) <= 1e-9) xa xb
+      | Simplex.Infeasible, Simplex.Infeasible -> true
+      | _ -> Alcotest.fail (name "LP %d: statuses differ" k)
+    in
+    let rec walk k = function
+      | (ea, sa) :: ta, (eb, sb) :: tb ->
+          ea = eb && same_lp k sa sb && walk (k + 1) (ta, tb)
+      | [], [] -> true
+      | _ -> Alcotest.fail (name "node logs end apart with no divergence")
+    in
+    if walk 0 (List.rev !(S.log), List.rev !(D.log)) then begin
+      Alcotest.(check (array int)) (name "same search, same plan") dense_plan sparse_plan;
+      check_float (name "same search, same objective") ~tol:1e-9 dense_obj sparse_obj
+    end
+  done
 
 let random_lp rng nvars nrows =
   let objective = Array.init nvars (fun _ -> Prng.float rng 10.0 -. 5.0) in
@@ -506,7 +687,7 @@ let qcheck_props =
         let rng = Prng.create seed in
         let nvars = 1 + Prng.int rng 4 and nrows = 1 + Prng.int rng 5 in
         let objective, rows = random_lp rng nvars nrows in
-        match Simplex.solve ~objective ~rows () with
+        match solve_simplex objective rows with
         | Simplex.Optimal (obj, x) ->
             (* Every constraint satisfied, all vars non-negative, and the
                reported objective matches the solution. *)
@@ -532,7 +713,7 @@ let qcheck_props =
         let nvars = 1 + Prng.int rng 4 and nrows = 1 + Prng.int rng 5 in
         let objective, rows = random_lp rng nvars nrows in
         let sp = solve_sparse objective rows in
-        match (Simplex.solve ~objective ~rows (), sp.Sparse.status) with
+        match (solve_simplex objective rows, sp.Sparse.status) with
         | Simplex.Optimal (od, _), Simplex.Optimal (os, _) -> Float.abs (od -. os) <= 1e-5
         | Simplex.Infeasible, Simplex.Infeasible -> true
         | Simplex.Unbounded, Simplex.Unbounded -> true
@@ -620,6 +801,7 @@ let suite =
     Alcotest.test_case "sparse/dense bit-identical" `Quick test_sparse_dense_bit_identical;
     Alcotest.test_case "sparse warm basis" `Quick test_sparse_warm_basis_matches_cold;
     Alcotest.test_case "sparse warm infeasible branch" `Quick test_sparse_warm_infeasible_branch;
-    Alcotest.test_case "mip dense-ceiling equivalence" `Quick test_mip_dense_ceiling_equivalence;
+    Alcotest.test_case "mip reference equivalence" `Quick test_mip_reference_equivalence;
+    Alcotest.test_case "mip differential vs reference" `Quick test_mip_differential;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
