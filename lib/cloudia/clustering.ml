@@ -31,7 +31,6 @@ let cluster ~k lat =
   let values = finite_off_diagonal lat in
   if Array.length values = 0 then { rounded = copy lat; levels = [||] }
   else begin
-    let k = min k (Stats.Kmeans1d.distinct_count values) in
     let result = Stats.Kmeans1d.cluster ~k values in
     let rounded =
       Lat_matrix.init (Lat_matrix.dim lat) (fun j j' ->

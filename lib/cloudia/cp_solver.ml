@@ -34,14 +34,8 @@ let c_iterations = Obs.Counter.make "cp_solver.threshold_iterations"
 (* The threshold graph Gc as a Digraph over instances (uniform-weight
    case, for compatibility labeling). *)
 let threshold_graph rounded c =
-  let m = Lat_matrix.dim rounded in
-  let edges = ref [] in
-  for j = 0 to m - 1 do
-    for j' = 0 to m - 1 do
-      if j <> j' && Lat_matrix.unsafe_get rounded j j' <= c then edges := (j, j') :: !edges
-    done
-  done;
-  Graphs.Digraph.create ~n:m !edges
+  Graphs.Digraph.of_predicate ~n:(Lat_matrix.dim rounded) (fun j j' ->
+      Lat_matrix.unsafe_get rounded j j' <= c)
 
 (* Forbidden-value matrix at link-cost threshold: bad.(j) = values j' such
    that the rounded cost j -> j' exceeds the threshold. *)
@@ -262,6 +256,14 @@ let solve ?(options = default_options) ?clustering ?warm_start ?edge_weight
        the from-scratch matching of a rebuild. *)
     let csp = Cp.Csp.create ~nvars:n ~nvalues:m in
     Cp.Csp.add_alldifferent csp;
+    (* The value order depends only on [rounded], so one per solve. *)
+    let value_order =
+      if order_values then begin
+        let badness = connectivity_badness rounded in
+        fun ~var:_ values -> List.sort (fun a b -> Float.compare badness.(a) badness.(b)) values
+      end
+      else fun ~var:_ values -> values
+    in
     let remaining_nodes () =
       match node_limit with Some l -> Some (l - !nodes) | None -> None
     in
@@ -316,14 +318,6 @@ let solve ?(options = default_options) ?clustering ?warm_start ?edge_weight
               match options.iteration_time_limit with
               | Some l -> Float.min l remaining
               | None -> remaining
-            in
-            let value_order =
-              if order_values then begin
-                let badness = connectivity_badness rounded in
-                fun ~var:_ values ->
-                  List.sort (fun a b -> Float.compare badness.(a) badness.(b)) values
-              end
-              else fun ~var:_ values -> values
             in
             let outcome, (st : Cp.Search.stats) =
               Cp.Search.solve ~time_limit:iteration_budget

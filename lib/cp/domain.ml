@@ -59,53 +59,83 @@ let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
   go x 0
 
+(* Index of the lowest set bit of a non-zero word, by binary search on the
+   isolated bit. [lsr] keeps bit 62 (the sign bit) working. *)
+let ctz w =
+  let b = ref (w land -w) and n = ref 0 in
+  if !b land 0xFFFF_FFFF = 0 then begin
+    n := 32;
+    b := !b lsr 32
+  end;
+  if !b land 0xFFFF = 0 then begin
+    n := !n + 16;
+    b := !b lsr 16
+  end;
+  if !b land 0xFF = 0 then begin
+    n := !n + 8;
+    b := !b lsr 8
+  end;
+  if !b land 0xF = 0 then begin
+    n := !n + 4;
+    b := !b lsr 4
+  end;
+  if !b land 0x3 = 0 then begin
+    n := !n + 2;
+    b := !b lsr 2
+  end;
+  if !b land 0x1 = 0 then !n + 1 else !n
+
 let size t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let is_empty t =
+  let words = t.words in
+  let i = ref 0 in
+  while !i < Array.length words && words.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length words
 
 let is_singleton t =
   (* Exactly one bit set across all words. *)
-  let seen = ref 0 in
-  (try
-     Array.iter
-       (fun w ->
-         if w <> 0 then begin
-           if w land (w - 1) <> 0 then begin
-             seen := 2;
-             raise Exit
-           end;
-           incr seen;
-           if !seen > 1 then raise Exit
-         end)
-       t.words
-   with Exit -> ());
+  let words = t.words in
+  let seen = ref 0 and i = ref 0 in
+  while !seen < 2 && !i < Array.length words do
+    let w = words.(!i) in
+    if w <> 0 then seen := if w land (w - 1) <> 0 then 2 else !seen + 1;
+    incr i
+  done;
   !seen = 1
 
-let min_value t =
-  let result = ref (-1) in
-  (try
-     Array.iteri
-       (fun wi w ->
-         if w <> 0 then begin
-           let b = ref 0 in
-           while w land (1 lsl !b) = 0 do
-             incr b
-           done;
-           result := (wi * bits_per_word) + !b;
-           raise Exit
-         end)
-       t.words
-   with Exit -> ());
-  if !result = -1 then raise Not_found else !result
+let next t v =
+  if v < 0 then invalid_arg "Domain.next: negative value";
+  if v >= t.universe then -1
+  else begin
+    let words = t.words in
+    let wi = ref (v / bits_per_word) in
+    let w = ref (words.(!wi) land (-1 lsl (v mod bits_per_word))) in
+    while !w = 0 && !wi < Array.length words - 1 do
+      incr wi;
+      w := words.(!wi)
+    done;
+    if !w = 0 then -1 else (!wi * bits_per_word) + ctz !w
+  end
 
+let min_value t =
+  let v = next t 0 in
+  if v < 0 then raise Not_found else v
+
+(* Walks set bits only. Each word is read once, so [f] may remove the
+   value it is given (or later ones) without disturbing the walk. *)
 let iter f t =
-  Array.iteri
-    (fun wi w ->
-      if w <> 0 then
-        for b = 0 to bits_per_word - 1 do
-          if w land (1 lsl b) <> 0 then f ((wi * bits_per_word) + b)
-        done)
-    t.words
+  let words = t.words in
+  for wi = 0 to Array.length words - 1 do
+    let w = ref words.(wi) in
+    while !w <> 0 do
+      let low = !w land - !w in
+      f ((wi * bits_per_word) + ctz low);
+      w := !w lxor low
+    done
+  done
 
 let fold f init t =
   let acc = ref init in
@@ -139,6 +169,49 @@ let subtract d bad =
     let nw = d.words.(i) land lnot bad.words.(i) in
     if nw <> d.words.(i) then begin
       d.words.(i) <- nw;
+      changed := true
+    end
+  done;
+  !changed
+
+let equal a b =
+  a.universe = b.universe
+  &&
+  let i = ref 0 in
+  while !i < Array.length a.words && a.words.(!i) = b.words.(!i) do
+    incr i
+  done;
+  !i = Array.length a.words
+
+(* [@cloudia.hot]: the forbidden-pair propagator's non-singleton case, run
+   on every binary constraint the queue pops. A member [j] of [d] is
+   supported iff [other] has a value outside [conflicts.(j)]; the test
+   reads words directly, so the loop builds no closure and no list. *)
+let[@cloudia.hot] remove_unsupported d ~other ~conflicts =
+  if d.universe <> other.universe then
+    invalid_arg "Domain.remove_unsupported: universe mismatch";
+  let nw = Array.length d.words in
+  let other_w = other.words in
+  let changed = ref false in
+  let rest = ref 0 and kept = ref 0 in
+  let supported = ref false and i = ref 0 in
+  for wi = 0 to nw - 1 do
+    rest := d.words.(wi);
+    kept := !rest;
+    while !rest <> 0 do
+      let low = !rest land - !rest in
+      rest := !rest lxor low;
+      let bad = conflicts.((wi * bits_per_word) + ctz low).words in
+      supported := false;
+      i := 0;
+      while (not !supported) && !i < nw do
+        if other_w.(!i) land lnot bad.(!i) <> 0 then supported := true;
+        incr i
+      done;
+      if not !supported then kept := !kept lxor low
+    done;
+    if !kept <> d.words.(wi) then begin
+      d.words.(wi) <- !kept;
       changed := true
     end
   done;

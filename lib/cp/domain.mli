@@ -40,8 +40,16 @@ val is_singleton : t -> bool
 val min_value : t -> int
 (** Smallest member. Raises [Not_found] on an empty domain. *)
 
+val next : t -> int -> int
+(** [next d v] is the smallest member [>= v], or [-1] if there is none.
+    Lets a caller walk a domain without a closure:
+    [let v = ref (next d 0) in while !v >= 0 do … v := next d (!v + 1) done].
+    Raises [Invalid_argument] if [v < 0]. *)
+
 val iter : (int -> unit) -> t -> unit
-(** Iterate members in ascending order. *)
+(** Iterate members in ascending order, visiting set bits only. Each word
+    is read once before its members are visited, so [f] may remove the
+    value it receives. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
@@ -60,3 +68,13 @@ val intersects_complement : t -> t -> bool
 val subtract : t -> t -> bool
 (** [subtract d bad] removes from [d] every member of [bad]; returns [true]
     if [d] changed. *)
+
+val equal : t -> t -> bool
+(** Same universe and same members. *)
+
+val remove_unsupported : t -> other:t -> conflicts:t array -> bool
+(** [remove_unsupported d ~other ~conflicts] removes from [d] every member
+    [j] with [other ⊆ conflicts.(j)] — the values that no member of
+    [other] supports under the forbidden-pair relation [conflicts]. Works
+    on the packed words and allocates nothing. Returns [true] if [d]
+    changed. *)

@@ -136,7 +136,7 @@ let solve ?time_limit ?node_limit ?should_stop ?value_classes
     done;
     !best
   in
-  let rec search () =
+  let rec search depth =
     check_budget ();
     incr propagations;
     let t0 = if timed then Obs.Clock.now_ns () else 0L in
@@ -157,14 +157,14 @@ let solve ?time_limit ?node_limit ?should_stop ?value_classes
               let values =
                 value_order ~var (dedup_values (Domain.to_list (Csp.domain csp var)))
               in
-              let snapshot = Csp.save csp in
+              Csp.save_level csp depth;
               let saved_active = !n_active in
               List.iter
                 (fun v ->
                   incr nodes;
                   Domain.fix (Csp.domain csp var) v;
-                  search ();
-                  Csp.restore csp snapshot;
+                  search (depth + 1);
+                  Csp.restore_level csp depth;
                   n_active := saved_active)
                 values
             end)
@@ -182,7 +182,7 @@ let solve ?time_limit ?node_limit ?should_stop ?value_classes
         elapsed = Obs.Clock.now_s () -. start;
       } )
   in
-  match search () with
+  match search 0 with
   | () -> finish Unsat
   | exception Found a -> finish (Sat a)
   | exception Out_of_budget -> finish Timeout

@@ -6,7 +6,7 @@ type t = {
 
 let sort_dedup lst =
   let a = Array.of_list lst in
-  Array.sort compare a;
+  Array.sort Int.compare a;
   let out = ref [] in
   Array.iter
     (fun x -> match !out with y :: _ when y = x -> () | _ -> out := x :: !out)
@@ -29,6 +29,34 @@ let create ~n edges =
       in_lists.(v) <- u :: in_lists.(v))
     edges;
   { n; out = Array.map sort_dedup out_lists; inn = Array.map sort_dedup in_lists }
+
+let of_predicate ~n edge =
+  if n < 0 then invalid_arg "Digraph.of_predicate: negative node count";
+  let row = Array.make n 0 in
+  let out =
+    Array.init n (fun u ->
+        let k = ref 0 in
+        for v = 0 to n - 1 do
+          if u <> v && edge u v then begin
+            row.(!k) <- v;
+            incr k
+          end
+        done;
+        Array.sub row 0 !k)
+  in
+  let in_deg = Array.make n 0 in
+  Array.iter (Array.iter (fun v -> in_deg.(v) <- in_deg.(v) + 1)) out;
+  let inn = Array.map (fun d -> Array.make d 0) in_deg in
+  Array.fill in_deg 0 n 0;
+  Array.iteri
+    (fun u succ ->
+      Array.iter
+        (fun v ->
+          inn.(v).(in_deg.(v)) <- u;
+          in_deg.(v) <- in_deg.(v) + 1)
+        succ)
+    out;
+  { n; out; inn }
 
 let n t = t.n
 
@@ -66,10 +94,29 @@ let in_neighbors t u = t.inn.(u)
 let out_degree t u = Array.length t.out.(u)
 let in_degree t u = Array.length t.inn.(u)
 
-let undirected_neighbors t u =
-  sort_dedup (Array.to_list t.out.(u) @ Array.to_list t.inn.(u))
+(* [out] and [inn] rows are sorted and duplicate-free, so the undirected
+   neighbourhood is their merge. [emit] sees each neighbour once, in
+   ascending order; the return value is the count. *)
+let merge_neighbors t u emit =
+  let a = t.out.(u) and b = t.inn.(u) in
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la || !j < lb do
+    let take_a = !j >= lb || (!i < la && a.(!i) <= b.(!j)) in
+    let v = if take_a then a.(!i) else b.(!j) in
+    if take_a then incr i;
+    if !j < lb && b.(!j) = v then incr j;
+    emit !k v;
+    incr k
+  done;
+  !k
 
-let undirected_degree t u = Array.length (undirected_neighbors t u)
+let undirected_degree t u = merge_neighbors t u (fun _ _ -> ())
+
+let undirected_neighbors t u =
+  let out = Array.make (undirected_degree t u) 0 in
+  ignore (merge_neighbors t u (fun k v -> out.(k) <- v) : int);
+  out
 
 let topological_order t =
   let indeg = Array.init t.n (fun v -> in_degree t v) in

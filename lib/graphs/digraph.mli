@@ -15,6 +15,12 @@ val create : n:int -> (int * int) list -> t
     [Invalid_argument] if an endpoint is out of range or an edge is a
     self-loop. Duplicate edges are collapsed. *)
 
+val of_predicate : n:int -> (int -> int -> bool) -> t
+(** [of_predicate ~n edge] has an arc [u -> v] for every pair [u <> v]
+    with [edge u v]: the graph [create] builds from those pairs, without
+    an intermediate edge list — for dense graphs such as a cost
+    threshold's, where the list would dominate the allocation. *)
+
 val n : t -> int
 (** Number of nodes. *)
 

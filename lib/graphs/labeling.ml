@@ -11,10 +11,10 @@ type label = {
 
 let compute g =
   let n = Digraph.n g in
+  let degree = Array.init n (Digraph.undirected_degree g) in
   Array.init n (fun v ->
-      let nbrs = Digraph.undirected_neighbors g v in
-      let degs = Array.map (fun w -> Digraph.undirected_degree g w) nbrs in
-      Array.sort (fun a b -> compare b a) degs;
+      let degs = Array.map (fun w -> degree.(w)) (Digraph.undirected_neighbors g v) in
+      Array.sort (fun a b -> Int.compare b a) degs;
       { in_deg = Digraph.in_degree g v; out_deg = Digraph.out_degree g v; neighbor_degrees = degs })
 
 let compatible ~pattern ~target =

@@ -12,11 +12,19 @@
     neighbor-degree multiset. Filtering target domains with this test prunes
     the CP search tree at the root. *)
 
-type label
+type label = private {
+  in_deg : int;
+  out_deg : int;
+  neighbor_degrees : int array;
+      (** undirected degrees of the node's undirected neighbours, sorted
+          descending *)
+}
 (** The (iterated-degree) label of one node. *)
 
 val compute : Digraph.t -> label array
-(** Per-node labels after one round of neighborhood refinement. *)
+(** Per-node labels after one round of neighborhood refinement. Every
+    undirected degree is computed once, so a graph with [E] arcs costs
+    O(E log E). *)
 
 val compatible : pattern:label -> target:label -> bool
 (** [compatible ~pattern ~target] is true iff a node labeled [pattern] can

@@ -3,9 +3,16 @@
     Sect. 6.3 of the paper clusters link costs with k-means before handing
     them to the solvers: "Since the link costs are in one dimension, such
     k-means can be optimally solved in O(kN) time using dynamic programming".
-    We implement the classic O(k·N²) interval DP (N = number of distinct
-    values, a few hundred here), which is exact and fast enough; the
-    SMAWK-accelerated O(kN) variant is an optimization we do not need. *)
+    N, the number of distinct values, is large here: 1,892 for 44
+    instances and about 5,800 for 77, and the classic O(k·N²) interval DP
+    took about 0.2 s per advise at 44 instances (k = 20, release build,
+    2-core x86-64 VM). Because the interval SSE is
+    Monge, the smallest optimal start of the last cluster is
+    non-decreasing in the right end, and each DP row is filled by divide
+    and conquer over that split point in O(N log N): O(k·N log N) in all,
+    with two live DP rows plus a k×N table of split points. Ties go to the
+    smallest start, so centers, boundaries and cost are bit-identical to
+    the full DP (a test compares them against it). *)
 
 type result = {
   centers : float array;    (** cluster means, ascending *)

@@ -129,6 +129,21 @@ let test_metric_estimate_shape () =
     done
   done
 
+(* [estimate] streams one pair's samples at a time; it must draw and
+   reduce exactly as [estimate_all], which keeps every sample. *)
+let test_metric_estimate_streams_bit_identically () =
+  let env = Cloudsim.Env.allocate (Prng.create 5) ec2 ~count:9 in
+  List.iter
+    (fun metric ->
+      let streamed = Metrics.estimate (Prng.create 6) env metric ~samples_per_pair:7 in
+      let kept = Metrics.estimate_all (Prng.create 6) env ~samples_per_pair:7 metric in
+      Lat_matrix.iter
+        (fun i j v ->
+          Alcotest.(check int64) (Printf.sprintf "entry %d,%d" i j) (Int64.bits_of_float v)
+            (Int64.bits_of_float (Lat_matrix.get streamed i j)))
+        kept)
+    [ Metrics.Mean; Metrics.Mean_plus_sd; Metrics.P99 ]
+
 let test_metric_ordering_on_jittery_links () =
   (* For lognormal jitter: mean < mean+sd < p99 per link (given enough
      samples). *)
@@ -441,6 +456,8 @@ let suite =
     Alcotest.test_case "metric reductions" `Quick test_metric_reductions;
     Alcotest.test_case "metric strings" `Quick test_metric_strings;
     Alcotest.test_case "metric estimate shape" `Quick test_metric_estimate_shape;
+    Alcotest.test_case "metric estimate streams bit-identically" `Quick
+      test_metric_estimate_streams_bit_identically;
     Alcotest.test_case "metric ordering" `Quick test_metric_ordering_on_jittery_links;
     Alcotest.test_case "clustering rounds to levels" `Quick test_clustering_rounds_to_levels;
     Alcotest.test_case "clustering none preserves" `Quick test_clustering_none_preserves;

@@ -333,6 +333,143 @@ let test_csp_reset_reuses_alldifferent () =
   | Search.Sat s, _ -> Alcotest.(check bool) "alldifferent survives reset" true (s.(0) <> s.(1))
   | _ -> Alcotest.fail "satisfiable after reset"
 
+(* ---------- Queue-driven propagation vs the all-constraints loop ---------- *)
+
+(* One random CSP posted identically to {!Csp} and to the reference, then
+   driven through random restrict / remove / fix / save / restore / reset
+   steps, propagating both after every step. The outcomes must be equal,
+   and so must every domain unless the step failed (a failing propagation
+   may stop at different partial domains; the search restores after it,
+   and so does this test). *)
+let propagate_agrees seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let nvars = 2 + int 5 in
+  let nvalues = if int 4 = 0 then 60 + int 10 else nvars + int 6 in
+  let prod = Csp.create ~nvars ~nvalues and refc = Cp_reference.Csp.create ~nvars ~nvalues in
+  if int 4 > 0 then begin
+    Csp.add_alldifferent prod;
+    Cp_reference.Csp.add_alldifferent refc
+  end;
+  let density = 10 + int 60 in
+  let matrix () =
+    Array.init nvalues (fun _ ->
+        let d = Domain.empty nvalues in
+        for v = 0 to nvalues - 1 do
+          if int 100 < density then Domain.add d v
+        done;
+        d)
+  in
+  let shared = matrix () in
+  let edges =
+    List.init (int (2 * nvars)) (fun _ ->
+        let x = int nvars in
+        let y = (x + 1 + int (nvars - 1)) mod nvars in
+        (x, y, if int 2 = 0 then shared else matrix ()))
+  in
+  let post () =
+    List.iter
+      (fun (x, y, bad) ->
+        Csp.add_forbidden_pairs prod ~x ~y ~bad;
+        Cp_reference.Csp.add_forbidden_pairs refc ~x ~y ~bad)
+      edges
+  in
+  post ();
+  let snapshots = ref [] in
+  let ok = ref true in
+  let same_domains () =
+    List.for_all
+      (fun x ->
+        Domain.to_list (Csp.domain prod x) = Domain.to_list (Cp_reference.Csp.domain refc x))
+      (List.init nvars Fun.id)
+  in
+  for _ = 1 to 40 do
+    if !ok then begin
+      let var = int nvars in
+      (match int 7 with
+      | 0 | 1 ->
+          let mask = Array.init nvalues (fun _ -> int 5 > 0) in
+          Csp.restrict prod ~var ~allowed:(fun v -> mask.(v));
+          Cp_reference.Csp.restrict refc ~var ~allowed:(fun v -> mask.(v))
+      | 2 ->
+          let v = int nvalues in
+          ignore (Domain.remove (Csp.domain prod var) v : bool);
+          ignore (Domain.remove (Cp_reference.Csp.domain refc var) v : bool)
+      | 3 -> (
+          match Domain.to_list (Csp.domain prod var) with
+          | [] -> ()
+          | vs ->
+              let v = List.nth vs (int (List.length vs)) in
+              Domain.fix (Csp.domain prod var) v;
+              Domain.fix (Cp_reference.Csp.domain refc var) v)
+      | 4 -> snapshots := (Csp.save prod, Cp_reference.Csp.save refc) :: !snapshots
+      | 5 -> (
+          match !snapshots with
+          | [] -> ()
+          | (sp, sr) :: rest ->
+              Csp.restore prod sp;
+              Cp_reference.Csp.restore refc sr;
+              if int 2 = 0 then snapshots := rest)
+      | _ ->
+          Csp.reset prod;
+          Cp_reference.Csp.reset refc;
+          snapshots := [];
+          post ());
+      let a = Csp.propagate prod and b = Cp_reference.Csp.propagate refc in
+      if a <> b then ok := false
+      else if a = Csp.Failure then begin
+        match !snapshots with
+        | (sp, sr) :: _ ->
+            Csp.restore prod sp;
+            Cp_reference.Csp.restore refc sr
+        | [] ->
+            Csp.reset prod;
+            Cp_reference.Csp.reset refc;
+            post ()
+      end
+      else if not (same_domains ()) then ok := false
+    end
+  done;
+  !ok
+
+(* Once warm, a search step (fix, propagate, restore) allocates nothing:
+   the queue, the watch lists, Régin's graph buffers and the snapshot
+   slots all live in the CSP. *)
+let test_propagate_allocates_nothing () =
+  let n = 10 in
+  let csp = Csp.create ~nvars:n ~nvalues:n in
+  Csp.add_alldifferent csp;
+  for i = 0 to n - 1 do
+    for k = i + 1 to n - 1 do
+      let bad =
+        Array.init n (fun v ->
+            let d = Domain.empty n in
+            List.iter
+              (fun w -> if w >= 0 && w < n then Domain.add d w)
+              [ v - (k - i); v + (k - i) ];
+            d)
+      in
+      Csp.add_forbidden_pairs csp ~x:i ~y:k ~bad
+    done
+  done;
+  ignore (Csp.propagate csp : Csp.propagation);
+  Csp.save_level csp 0;
+  let step v =
+    Domain.fix (Csp.domain csp 0) v;
+    ignore (Csp.propagate csp : Csp.propagation);
+    Csp.restore_level csp 0;
+    ignore (Csp.propagate csp : Csp.propagation)
+  in
+  for v = 0 to n - 1 do
+    step v
+  done;
+  let before = Gc.minor_words () in
+  for v = 0 to n - 1 do
+    step v
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"search solutions satisfy alldifferent" ~count:50
@@ -353,6 +490,18 @@ let qcheck_props =
                 end)
               s
         | _ -> false);
+    QCheck.Test.make ~name:"propagate matches the all-constraints loop" ~count:400
+      QCheck.(int_bound 1_000_000) propagate_agrees;
+    QCheck.Test.make ~name:"domain next and iter agree with mem" ~count:200
+      QCheck.(pair (int_range 1 130) (list (int_range 0 129)))
+      (fun (universe, members) ->
+        let d = Domain.empty universe in
+        List.iter (fun v -> if v < universe then Domain.add d v) members;
+        let expected = List.filter (Domain.mem d) (List.init universe Fun.id) in
+        let rec walk v acc =
+          if v < 0 then List.rev acc else walk (Domain.next d (v + 1)) (v :: acc)
+        in
+        Domain.to_list d = expected && walk (Domain.next d 0) [] = expected);
     QCheck.Test.make ~name:"domain subtract never grows" ~count:200
       QCheck.(pair (list (int_range 0 62)) (list (int_range 0 62)))
       (fun (keep, bad_values) ->
@@ -398,5 +547,6 @@ let suite =
     Alcotest.test_case "value classes stay complete" `Quick
       test_search_value_classes_complete_sat;
     Alcotest.test_case "csp reset reuse" `Quick test_csp_reset_reuses_alldifferent;
+    Alcotest.test_case "propagate allocates nothing" `Quick test_propagate_allocates_nothing;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

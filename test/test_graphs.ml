@@ -271,6 +271,40 @@ let qcheck_props =
         let g = Templates.random_dag rng ~n ~edge_prob:0.4 in
         let tt = Digraph.transpose (Digraph.transpose g) in
         Digraph.edges g = Digraph.edges tt);
+    QCheck.Test.make ~name:"labeling matches per-neighbour reference" ~count:300
+      QCheck.(triple (int_bound 1_000_000) (int_range 1 25) (int_range 0 100))
+      (fun (seed, n, density) ->
+        let rng = Prng.create seed in
+        let edges = ref [] in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if u <> v && Prng.int rng 100 < density then edges := (u, v) :: !edges
+          done
+        done;
+        let g = Digraph.create ~n !edges in
+        let fast =
+          Array.map
+            (fun (l : Labeling.label) -> (l.in_deg, l.out_deg, l.neighbor_degrees))
+            (Labeling.compute g)
+        in
+        fast = Cp_reference.Labeling.compute g);
+    QCheck.Test.make ~name:"of_predicate builds the same graph as create" ~count:200
+      QCheck.(triple (int_bound 1_000_000) (int_range 0 20) (int_range 0 100))
+      (fun (seed, n, density) ->
+        let rng = Prng.create seed in
+        let adj =
+          Array.init n (fun u -> Array.init n (fun v -> u <> v && Prng.int rng 100 < density))
+        in
+        let pairs = ref [] in
+        Array.iteri
+          (fun u row -> Array.iteri (fun v e -> if e then pairs := (u, v) :: !pairs) row)
+          adj;
+        let g = Digraph.create ~n !pairs in
+        let g' = Digraph.of_predicate ~n (fun u v -> adj.(u).(v)) in
+        Digraph.edges g = Digraph.edges g'
+        && List.for_all
+             (fun v -> Digraph.in_neighbors g v = Digraph.in_neighbors g' v)
+             (List.init n Fun.id));
     QCheck.Test.make ~name:"matching size bounded by min side" ~count:100
       QCheck.(pair small_int (pair (int_range 1 10) (int_range 1 10)))
       (fun (seed, (nl, nr)) ->

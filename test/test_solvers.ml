@@ -349,6 +349,33 @@ let test_advisor_measurement_time_scales () =
   Alcotest.(check bool) "measurement minutes positive" true
     (r1.Advisor.measurement_minutes > 0.0)
 
+(* Two domains solving different problems at once must each get exactly
+   the serial answer: a CSP keeps all its propagation state (queue,
+   matching, transposes) to itself, with nothing shared at module level.
+   Work-bounded (node limit, no clock), so the serial run is the oracle. *)
+let test_cp_concurrent_domains_match_serial () =
+  let options = { Cp_solver.default_options with clusters = Some 8; time_limit = 1e9 } in
+  let problem seed = random_problem ~nodes:9 ~instances:14 ~extra_edges:6 seed in
+  let problems = [| problem 71; problem 72 |] in
+  let solve j =
+    Cp_solver.solve ~options ~node_limit:400 (Prng.create (80 + j)) problems.(j)
+  in
+  let summary (r : Cp_solver.result) =
+    ( r.Cp_solver.plan,
+      Int64.bits_of_float r.Cp_solver.cost,
+      (r.Cp_solver.nodes, r.Cp_solver.failures, r.Cp_solver.propagations, r.Cp_solver.iterations) )
+  in
+  let serial = Array.init 2 (fun j -> summary (solve j)) in
+  Alcotest.(check bool) "the solves iterate" true
+    (Array.for_all (fun (_, _, (_, _, _, iterations)) -> iterations > 1) serial);
+  for _ = 1 to 3 do
+    let other = Stdlib.Domain.spawn (fun () -> summary (solve 1)) in
+    let mine = summary (solve 0) in
+    let theirs = Stdlib.Domain.join other in
+    Alcotest.(check bool) "domain 0 matches serial" true (mine = serial.(0));
+    Alcotest.(check bool) "domain 1 matches serial" true (theirs = serial.(1))
+  done
+
 let suite =
   [
     Alcotest.test_case "cp matches brute force" `Quick test_cp_matches_brute_force;
@@ -358,6 +385,8 @@ let suite =
     Alcotest.test_case "cp symmetry breaking racks" `Quick test_cp_symmetry_breaking_racks;
     Alcotest.test_case "cp iteration cap" `Quick test_cp_respects_iteration_cap;
     Alcotest.test_case "cp cooperative stop" `Quick test_cp_stops_cooperatively;
+    Alcotest.test_case "cp concurrent domains match serial" `Quick
+      test_cp_concurrent_domains_match_serial;
     Alcotest.test_case "cp beats greedy" `Quick test_cp_beats_or_matches_greedy;
     Alcotest.test_case "mip LL matches brute force" `Slow test_mip_ll_matches_brute_force;
     Alcotest.test_case "mip LP matches brute force" `Slow test_mip_lp_matches_brute_force;

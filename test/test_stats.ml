@@ -199,6 +199,33 @@ let test_histogram_counts () =
   Alcotest.(check int) "bin 9 (incl clamped 11)" 2 c.(9);
   Alcotest.(check int) "total" 6 (Histogram.total h)
 
+(* Bit-level equality, so the divide-and-conquer DP is held to exactly the
+   full DP's floating-point results, not to a tolerance. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let kmeans_bit_identical ~k xs =
+  let fast = Kmeans1d.cluster ~k xs and full = Cp_reference.Kmeans1d.cluster ~k xs in
+  same_bits fast.Kmeans1d.centers full.Kmeans1d.centers
+  && same_bits fast.Kmeans1d.boundaries full.Kmeans1d.boundaries
+  && same_bits [| fast.Kmeans1d.cost |] [| full.Kmeans1d.cost |]
+
+(* As many values as the off-diagonal link costs of 30 instances (870),
+   lognormal and rounded to 3 decimals so that values repeat, clustered
+   at k up to past the solver's k = 20. *)
+let test_kmeans_matches_full_dp_at_scale () =
+  let rng = Prng.create 44 in
+  let xs =
+    Array.init 870 (fun _ ->
+        Float.round (1000.0 *. Prng.lognormal rng ~mu:(-0.5) ~sigma:0.6) /. 1000.0)
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Printf.sprintf "k=%d bit-identical" k) true
+        (kmeans_bit_identical ~k xs))
+    [ 1; 2; 5; 20; 64 ]
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"percentile within [min,max]" ~count:300
@@ -212,6 +239,20 @@ let qcheck_props =
         let c = Cdf.of_samples xs in
         let a = Cdf.eval c 3.0 and b = Cdf.eval c 7.0 in
         a <= b);
+    (* Weighted multisets with heavy ties: [n] draws from [distinct]
+       values on a random scale, k from 1 to past the distinct count. *)
+    QCheck.Test.make ~name:"kmeans matches the full DP bit for bit" ~count:1000
+      QCheck.(triple (int_bound 1_000_000) (int_range 1 120) (int_range 1 40))
+      (fun (seed, n, distinct) ->
+        let rng = Prng.create seed in
+        let scale = 0.01 +. Prng.float rng 100.0 and offset = Prng.float rng 10.0 in
+        let xs =
+          Array.init n (fun _ -> offset +. (scale *. float_of_int (Prng.int rng distinct)))
+        in
+        let d = Kmeans1d.distinct_count xs in
+        let k = 1 + Prng.int rng (min 30 (d + 2)) in
+        kmeans_bit_identical ~k:1 xs && kmeans_bit_identical ~k xs
+        && kmeans_bit_identical ~k:(d + 1) xs);
     QCheck.Test.make ~name:"kmeans cost decreases with k" ~count:100
       QCheck.(array_of_size (QCheck.Gen.int_range 3 25) (float_range 0. 10.))
       (fun xs ->
@@ -249,6 +290,8 @@ let suite =
     Alcotest.test_case "kmeans k exceeds distinct" `Quick test_kmeans_k_exceeds_distinct;
     Alcotest.test_case "kmeans assign" `Quick test_kmeans_assign;
     Alcotest.test_case "kmeans matches brute force" `Quick test_kmeans_matches_brute_force;
+    Alcotest.test_case "kmeans matches full DP at scale" `Quick
+      test_kmeans_matches_full_dp_at_scale;
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
