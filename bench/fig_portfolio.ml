@@ -66,29 +66,24 @@ let run () =
   in
   (* Portfolios under the same wall-clock budget, growing the roster. *)
   let portfolio domains =
-    let options =
-      {
-        Cloudia.Portfolio.members =
-          Cloudia.Portfolio.default_members ~objective:Cloudia.Cost.Longest_link ~domains;
-        time_limit = budget;
-        share_incumbent = true;
-      }
-    in
-    Cloudia.Portfolio.solve ~options (Prng.create 307) Cloudia.Cost.Longest_link problem
+    Cloudia.Solver.run
+      (Cloudia.Solver.portfolio ~objective:Cloudia.Cost.Longest_link ~domains
+         ~time_limit:budget)
+      (Prng.create 307) Cloudia.Cost.Longest_link problem
   in
   let last = ref None in
   List.iter
     (fun domains ->
       let r, t = timed (fun () -> portfolio domains) in
       if domains = 4 then last := Some r;
-      let winner = List.nth r.Cloudia.Portfolio.workers r.Cloudia.Portfolio.winner in
       show
         (Printf.sprintf "%d-domain portfolio" domains)
-        r.Cloudia.Portfolio.cost t
-        (if r.Cloudia.Portfolio.proven_optimal then "proved"
+        r.Cloudia.Solver.cost t
+        (if r.Cloudia.Solver.stop_reason = Cloudia.Solver.Proven_optimal then "proved"
          else
+           let w = Option.get r.Cloudia.Solver.winner in
            Printf.sprintf "won by %s"
-             (Cloudia.Portfolio.member_to_string winner.Cloudia.Portfolio.member)))
+             (List.nth r.Cloudia.Solver.members w).Cloudia.Solver.member_name))
     [ 1; 2; 4 ];
   (match !last with
   | None -> ()
@@ -96,20 +91,18 @@ let run () =
       Printf.printf "\n  per-worker telemetry of the 4-domain portfolio:\n";
       Printf.printf "  %-8s %14s %14s %12s\n" "member" "best cost" "time to best" "effort";
       List.iter
-        (fun (w : Cloudia.Portfolio.worker) ->
-          Printf.printf "  %-8s %11.3f ms %12.3f s %12d\n"
-            (Cloudia.Portfolio.member_to_string w.Cloudia.Portfolio.member)
-            w.Cloudia.Portfolio.best_cost w.Cloudia.Portfolio.time_to_best
-            w.Cloudia.Portfolio.iterations)
-        r.Cloudia.Portfolio.workers;
+        (fun (m : Cloudia.Solver.member) ->
+          Printf.printf "  %-8s %11.3f ms %12.3f s %12d\n" m.member_name m.member_cost
+            m.time_to_best m.iterations)
+        r.Cloudia.Solver.members;
       Util.print_trace ~csv:"fig_portfolio_trace"
-        "\n  merged anytime trace (all workers):" r.Cloudia.Portfolio.trace;
+        "\n  merged anytime trace (all workers):" r.Cloudia.Solver.trace;
       Printf.printf "\n  4-domain portfolio vs best single strategy: %.3f vs %.3f ms — %s\n"
-        r.Cloudia.Portfolio.cost best_single
-        (if r.Cloudia.Portfolio.cost <= best_single +. 1e-9 then "NO WORSE (as claimed)"
+        r.Cloudia.Solver.cost best_single
+        (if r.Cloudia.Solver.cost <= best_single +. 1e-9 then "NO WORSE (as claimed)"
          else "WORSE");
       let again = portfolio 4 in
       Printf.printf "  determinism re-run: %.6f vs %.6f ms, plans %s\n"
-        r.Cloudia.Portfolio.cost again.Cloudia.Portfolio.cost
-        (if again.Cloudia.Portfolio.plan = r.Cloudia.Portfolio.plan then "IDENTICAL"
+        r.Cloudia.Solver.cost again.Cloudia.Solver.cost
+        (if again.Cloudia.Solver.plan = r.Cloudia.Solver.plan then "IDENTICAL"
          else "different"))

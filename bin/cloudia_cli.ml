@@ -66,8 +66,8 @@ let json_obj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields) ^ "}"
 
 let solver_stats_json = function
-  | Cloudia.Advisor.No_solver_stats -> json_obj [ ("kind", json_str "none") ]
-  | Cloudia.Advisor.Cp_stats { iterations; nodes; failures; propagations } ->
+  | Cloudia.Solver.No_stats -> json_obj [ ("kind", json_str "none") ]
+  | Cloudia.Solver.Cp_stats { iterations; nodes; failures; propagations } ->
       json_obj
         [
           ("kind", json_str "cp");
@@ -76,21 +76,21 @@ let solver_stats_json = function
           ("failures", json_int failures);
           ("propagations", json_int propagations);
         ]
-  | Cloudia.Advisor.Mip_stats { nodes_explored; nodes_pruned } ->
+  | Cloudia.Solver.Mip_stats { nodes_explored; nodes_pruned } ->
       json_obj
         [
           ("kind", json_str "mip");
           ("nodes_explored", json_int nodes_explored);
           ("nodes_pruned", json_int nodes_pruned);
         ]
-  | Cloudia.Advisor.Anneal_stats { moves_tried; moves_accepted } ->
+  | Cloudia.Solver.Anneal_stats { moves_tried; moves_accepted } ->
       json_obj
         [
           ("kind", json_str "anneal");
           ("moves_tried", json_int moves_tried);
           ("moves_accepted", json_int moves_accepted);
         ]
-  | Cloudia.Advisor.Random_stats { trials } ->
+  | Cloudia.Solver.Random_stats { trials } ->
       json_obj [ ("kind", json_str "random"); ("trials", json_int trials) ]
 
 let telemetry_json (t : Cloudia.Advisor.telemetry) =
@@ -98,7 +98,8 @@ let telemetry_json (t : Cloudia.Advisor.telemetry) =
     [
       ("strategy", json_str t.Cloudia.Advisor.strategy_name);
       ("solver", solver_stats_json t.Cloudia.Advisor.solver);
-      ("proven_optimal", json_bool t.Cloudia.Advisor.proven_optimal);
+      ( "proven_optimal",
+        json_bool (t.Cloudia.Advisor.stop_reason = Cloudia.Solver.Proven_optimal) );
       ( "incumbent_trace",
         json_list
           (List.map
@@ -109,15 +110,15 @@ let telemetry_json (t : Cloudia.Advisor.telemetry) =
       ( "members",
         json_list
           (List.map
-             (fun (m : Cloudia.Advisor.member_stats) ->
+             (fun (m : Cloudia.Solver.member) ->
                json_obj
                  [
-                   ("name", json_str m.Cloudia.Advisor.member_name);
-                   ("best_cost", json_float m.Cloudia.Advisor.member_cost);
-                   ("time_to_best", json_float m.Cloudia.Advisor.member_time_to_best);
-                   ("seconds", json_float m.Cloudia.Advisor.member_seconds);
-                   ("iterations", json_int m.Cloudia.Advisor.member_iterations);
-                   ("proved_optimal", json_bool m.Cloudia.Advisor.member_proved);
+                   ("name", json_str m.member_name);
+                   ("best_cost", json_float m.member_cost);
+                   ("time_to_best", json_float m.time_to_best);
+                   ("seconds", json_float m.seconds);
+                   ("iterations", json_int m.iterations);
+                   ("proved_optimal", json_bool m.proved_optimal);
                  ])
              t.Cloudia.Advisor.members) );
       ( "counters",
@@ -202,45 +203,24 @@ let workload_conv =
 
 let strategy_of_string ~time_limit ~domains ~objective s =
   match String.lowercase_ascii s with
-  | "g1" -> Ok Cloudia.Advisor.Greedy_g1
-  | "g2" -> Ok Cloudia.Advisor.Greedy_g2
-  | "r1" -> Ok (Cloudia.Advisor.Random_r1 1000)
-  | "r2" -> Ok (Cloudia.Advisor.Random_r2 time_limit)
-  | "r2d" | "descent" -> Ok (Cloudia.Advisor.Descent time_limit)
-  | "anneal" -> Ok (Cloudia.Advisor.Anneal { Cloudia.Anneal.default_options with Cloudia.Anneal.time_limit })
-  | "cp" ->
-      Ok
-        (Cloudia.Advisor.Cp
-           {
-             Cloudia.Cp_solver.clusters = Some 20;
-             time_limit;
-             iteration_time_limit = None;
-             use_labeling = true;
-             bootstrap_trials = 10;
-             symmetry_breaking = true;
-           })
-  | "mip" ->
-      Ok
-        (Cloudia.Advisor.Mip
-           {
-             Cloudia.Mip_solver.clusters = None;
-             time_limit;
-             node_limit = None;
-             bootstrap_trials = 10;
-           })
+  | "g1" -> Ok Cloudia.Solver.Greedy_g1
+  | "g2" -> Ok Cloudia.Solver.Greedy_g2
+  | "r1" -> Ok (Cloudia.Solver.Random_r1 1000)
+  | "r2" -> Ok (Cloudia.Solver.Random_r2 time_limit)
+  | "r2d" | "descent" -> Ok (Cloudia.Solver.Descent time_limit)
+  | "anneal" -> Ok (Cloudia.Solver.Anneal { Cloudia.Anneal.default_options with time_limit })
+  | "cp" -> Ok (Cloudia.Solver.Cp { Cloudia.Cp_solver.default_options with time_limit })
+  | "mip" -> Ok (Cloudia.Solver.Mip { Cloudia.Mip_solver.default_options with time_limit })
   | "portfolio" ->
       if domains < 1 then Error (`Msg "--domains must be >= 1")
       else if time_limit <= 0.0 then Error (`Msg "--time-limit must be positive")
-      else
-        Ok
-          (Cloudia.Advisor.Portfolio
-             {
-               Cloudia.Portfolio.members =
-                 Cloudia.Portfolio.default_members ~objective ~domains;
-               time_limit;
-               share_incumbent = true;
-             })
+      else Ok (Cloudia.Solver.portfolio ~objective ~domains ~time_limit)
   | _ -> Error (`Msg "strategy must be g1, g2, r1, r2, r2d, anneal, cp, mip or portfolio")
+
+let objective_of_arg s =
+  match Cloudia.Cost.objective_of_string (String.lowercase_ascii s) with
+  | Some o -> Ok o
+  | None -> Error "objective must be ll or lp"
 
 let on_missing_conv =
   Arg.enum
@@ -357,7 +337,7 @@ let advise provider seed workload strategy_name scale over metric time_limit dom
             Printf.printf "workload            : %s\n" describe;
             Printf.printf "objective           : %s\n" (Cloudia.Cost.objective_to_string objective);
             Printf.printf "strategy            : %s\n"
-              (Cloudia.Advisor.strategy_to_string strategy);
+              (Cloudia.Solver.name strategy);
             Printf.printf "instances allocated : %d\n" (Cloudsim.Env.count report.Cloudia.Advisor.env);
             Printf.printf "measurement charged : %.1f min\n"
               report.Cloudia.Advisor.measurement_minutes;
@@ -371,33 +351,31 @@ let advise provider seed workload strategy_name scale over metric time_limit dom
                    (List.map string_of_int report.Cloudia.Advisor.dropped));
             Printf.printf "search time         : %.2f s\n" report.Cloudia.Advisor.search_seconds;
             (match telemetry.Cloudia.Advisor.solver with
-            | Cloudia.Advisor.No_solver_stats -> ()
-            | Cloudia.Advisor.Cp_stats { iterations; nodes; failures; propagations } ->
+            | Cloudia.Solver.No_stats -> ()
+            | Cloudia.Solver.Cp_stats { iterations; nodes; failures; propagations } ->
                 Printf.printf
                   "solver effort       : %d iterations, %d nodes, %d failures, %d propagations\n"
                   iterations nodes failures propagations
-            | Cloudia.Advisor.Mip_stats { nodes_explored; nodes_pruned } ->
+            | Cloudia.Solver.Mip_stats { nodes_explored; nodes_pruned } ->
                 Printf.printf "solver effort       : %d nodes explored, %d pruned\n"
                   nodes_explored nodes_pruned
-            | Cloudia.Advisor.Anneal_stats { moves_tried; moves_accepted } ->
+            | Cloudia.Solver.Anneal_stats { moves_tried; moves_accepted } ->
                 Printf.printf "solver effort       : %d moves tried, %d accepted\n"
                   moves_tried moves_accepted
-            | Cloudia.Advisor.Random_stats { trials } ->
+            | Cloudia.Solver.Random_stats { trials } ->
                 Printf.printf "solver effort       : %d trials\n" trials);
             (match telemetry.Cloudia.Advisor.winner with
             | Some w ->
                 Printf.printf "portfolio winner    : %s\n" w;
                 List.iter
-                  (fun (m : Cloudia.Advisor.member_stats) ->
+                  (fun (m : Cloudia.Solver.member) ->
                     Printf.printf
                       "  member %-9s : best %.3f ms in %.2f s (best at %.2f s, %d iterations%s)\n"
-                      m.Cloudia.Advisor.member_name m.Cloudia.Advisor.member_cost
-                      m.Cloudia.Advisor.member_seconds m.Cloudia.Advisor.member_time_to_best
-                      m.Cloudia.Advisor.member_iterations
-                      (if m.Cloudia.Advisor.member_proved then ", proved" else ""))
+                      m.member_name m.member_cost m.seconds m.time_to_best m.iterations
+                      (if m.proved_optimal then ", proved" else ""))
                   telemetry.Cloudia.Advisor.members
             | None -> ());
-            if telemetry.Cloudia.Advisor.proven_optimal then
+            if telemetry.Cloudia.Advisor.stop_reason = Cloudia.Solver.Proven_optimal then
               Printf.printf "optimality          : proven (under the solver's cost rounding)\n";
             Printf.printf "default cost        : %.3f ms\n" report.Cloudia.Advisor.default_cost;
             Printf.printf "optimized cost      : %.3f ms\n" report.Cloudia.Advisor.cost;
@@ -561,15 +539,9 @@ let survey_cmd =
 
 let plan_cmd_run seed costs_file graph_spec objective_name strategy_name time_limit domains
     json =
-  let objective =
-    match String.lowercase_ascii objective_name with
-    | "ll" | "longest-link" -> Ok Cloudia.Cost.Longest_link
-    | "lp" | "longest-path" -> Ok Cloudia.Cost.Longest_path
-    | _ -> Error "objective must be ll or lp"
-  in
   match
     match
-      (objective, Cloudia.Matrix_io.load_auto costs_file, Graphs.Graph_io.parse_spec graph_spec)
+      (objective_of_arg objective_name, Cloudia.Matrix_io.load_auto costs_file, Graphs.Graph_io.parse_spec graph_spec)
     with
     | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
     | Ok objective, Ok costs, Ok graph -> (
@@ -678,10 +650,7 @@ let plan_cmd =
 
 let lint_run costs_file graph_spec graph_file objective_name time_limit domains strict json =
   let requires_dag =
-    match String.lowercase_ascii objective_name with
-    | "ll" | "longest-link" -> Ok false
-    | "lp" | "longest-path" -> Ok true
-    | _ -> Error "objective must be ll or lp"
+    Result.map (fun o -> o = Cloudia.Cost.Longest_path) (objective_of_arg objective_name)
   in
   (* The raw loaders accept exactly the malformed inputs the strict
      parsers reject, so every problem is reported at once, with codes. *)
@@ -914,15 +883,7 @@ let bandwidth provider seed nodes =
   let default_bw = Cloudia.Bandwidth.bottleneck_gbps env graph default_plan in
   let _, optimized_bw =
     Cloudia.Bandwidth.solve_cp
-      ~options:
-        {
-          Cloudia.Cp_solver.clusters = Some 20;
-          time_limit = 10.0;
-          iteration_time_limit = None;
-          use_labeling = true;
-          bootstrap_trials = 10;
-          symmetry_breaking = true;
-        }
+      ~options:{ Cloudia.Cp_solver.default_options with time_limit = 10.0 }
       rng env graph
   in
   Printf.printf "Bottleneck bandwidth of a %d-node ring pipeline on %s\n" nodes
@@ -1164,10 +1125,7 @@ let client_advise socket wait_s costs_file graph_spec solver_name objective_name
     seed_step budget max_moves clusters deadline tenant id repeat =
   let parsed =
     match
-      ( (match String.lowercase_ascii objective_name with
-        | "ll" | "longest-link" -> Ok Cloudia.Cost.Longest_link
-        | "lp" | "longest-path" -> Ok Cloudia.Cost.Longest_path
-        | _ -> Error "objective must be ll or lp"),
+      ( objective_of_arg objective_name,
         (match Serve.Protocol.solver_of_string (String.lowercase_ascii solver_name) with
         | s -> Ok s
         | exception Serve.Protocol.Protocol_error _ ->

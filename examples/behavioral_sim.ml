@@ -14,20 +14,12 @@ let () =
   let strategies =
     [
       ("default", None);
-      ("G1", Some Cloudia.Advisor.Greedy_g1);
-      ("G2", Some Cloudia.Advisor.Greedy_g2);
-      ("R1(1000)", Some (Cloudia.Advisor.Random_r1 1000));
+      ("G1", Some Cloudia.Solver.Greedy_g1);
+      ("G2", Some Cloudia.Solver.Greedy_g2);
+      ("R1(1000)", Some (Cloudia.Solver.Random_r1 1000));
       ( "CP",
         Some
-          (Cloudia.Advisor.Cp
-             {
-               Cloudia.Cp_solver.clusters = Some 20;
-               time_limit = 15.0;
-               iteration_time_limit = None;
-               use_labeling = true;
-               bootstrap_trials = 10;
-               symmetry_breaking = true;
-             }) );
+          (Cloudia.Solver.Cp { Cloudia.Cp_solver.default_options with time_limit = 15.0 }) );
     ]
   in
   Printf.printf "Behavioral simulation: %dx%d mesh, %d ticks, 10%% over-allocation\n\n"

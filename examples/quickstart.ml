@@ -16,15 +16,7 @@ let () =
       over_allocation = 0.25;
       samples_per_pair = 30;
       strategy =
-        Cloudia.Advisor.Cp
-          {
-            Cloudia.Cp_solver.clusters = Some 20;
-            time_limit = 10.0;
-            iteration_time_limit = None;
-            use_labeling = true;
-            bootstrap_trials = 10;
-            symmetry_breaking = true;
-          };
+        Cloudia.Solver.Cp { Cloudia.Cp_solver.default_options with time_limit = 10.0 };
     }
   in
   let report = Cloudia.Advisor.run rng provider config in

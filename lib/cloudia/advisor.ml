@@ -1,57 +1,19 @@
-type strategy =
-  | Greedy_g1
-  | Greedy_g2
-  | Random_r1 of int
-  | Random_r2 of float
-  | Descent of float
-  | Anneal of Anneal.options
-  | Cp of Cp_solver.options
-  | Mip of Mip_solver.options
-  | Portfolio of Portfolio.options
-
-let strategy_to_string = function
-  | Greedy_g1 -> "G1"
-  | Greedy_g2 -> "G2"
-  | Random_r1 n -> Printf.sprintf "R1(%d)" n
-  | Random_r2 s -> Printf.sprintf "R2(%.1fs)" s
-  | Descent s -> Printf.sprintf "R2D(%.1fs)" s
-  | Anneal _ -> "SA"
-  | Cp _ -> "CP"
-  | Mip _ -> "MIP"
-  | Portfolio o -> Printf.sprintf "Portfolio(%d)" (List.length o.Portfolio.members)
-
 type config = {
   graph : Graphs.Digraph.t;
   objective : Cost.objective;
   metric : Metrics.t;
   over_allocation : float;
   samples_per_pair : int;
-  strategy : strategy;
-}
-
-type solver_stats =
-  | No_solver_stats
-  | Cp_stats of { iterations : int; nodes : int; failures : int; propagations : int }
-  | Mip_stats of { nodes_explored : int; nodes_pruned : int }
-  | Anneal_stats of { moves_tried : int; moves_accepted : int }
-  | Random_stats of { trials : int }
-
-type member_stats = {
-  member_name : string;
-  member_cost : float;
-  member_time_to_best : float;
-  member_seconds : float;
-  member_iterations : int;
-  member_proved : bool;
+  strategy : Solver.t;
 }
 
 type telemetry = {
   strategy_name : string;
-  solver : solver_stats;
-  proven_optimal : bool;
+  solver : Solver.stats;
+  stop_reason : Solver.stop_reason;
   incumbent_trace : (float * float) list;
   winner : string option;
-  members : member_stats list;
+  members : Solver.member list;
   counters : (string * int) list;
 }
 
@@ -80,18 +42,8 @@ type report = {
   diagnostics : Lint.Diagnostic.t list;
 }
 
-(* The lint gate needs the budget/parallelism a strategy will actually
-   use; greedy strategies and fixed-trial R1 have no time budget. *)
-let strategy_time_limit = function
-  | Greedy_g1 | Greedy_g2 | Random_r1 _ -> None
-  | Random_r2 s | Descent s -> Some s
-  | Anneal o -> Some o.Anneal.time_limit
-  | Cp o -> Some o.Cp_solver.time_limit
-  | Mip o -> Some o.Mip_solver.time_limit
-  | Portfolio o -> Some o.Portfolio.time_limit
-
 let strategy_domains = function
-  | Portfolio o -> Some (List.length o.Portfolio.members)
+  | Solver.Portfolio p -> Some (List.length p.Solver.members)
   | _ -> None
 
 let requires_dag = function Cost.Longest_path -> true | Cost.Longest_link -> false
@@ -100,7 +52,7 @@ let lint ?pool config =
   Lint.Instance.check_graph ?pool ~requires_dag:(requires_dag config.objective)
     config.graph
   @ Lint.Instance.check_config
-      ?time_limit:(strategy_time_limit config.strategy)
+      ?time_limit:(Solver.time_limit config.strategy)
       ?domains:(strategy_domains config.strategy)
       ?pool ~over_allocation:config.over_allocation
       ~samples_per_pair:config.samples_per_pair ()
@@ -124,7 +76,7 @@ let search_with_telemetry rng strategy objective problem =
        (Lint.Instance.check_graph ~pool
           ~requires_dag:(requires_dag objective) problem.Types.graph
        @ Lint.Instance.check_config
-           ?time_limit:(strategy_time_limit strategy)
+           ?time_limit:(Solver.time_limit strategy)
            ?domains:(strategy_domains strategy)
            ~pool ()
        @ Lint.Instance.check_partial
@@ -132,101 +84,18 @@ let search_with_telemetry rng strategy objective problem =
            ~missing:(count_unsampled problem.Types.lat)
            ~imputed:0 ~dropped:0 ()));
   let before = Obs.Counter.snapshot () in
-  let finish ?(solver = No_solver_stats) ?(proven = false) ?(trace = []) ?winner
-      ?(members = []) plan =
-    ( plan,
-      {
-        strategy_name = strategy_to_string strategy;
-        solver;
-        proven_optimal = proven;
-        incumbent_trace = trace;
-        winner;
-        members;
-        counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ());
-      } )
-  in
-  (* For the strategies whose solvers do not record their own trace, the
-     improvement callback reconstructs one against this start time. *)
-  let started = Obs.Clock.now_s () in
-  let trace = ref [] in
-  let on_improve _plan cost =
-    trace := (Obs.Clock.now_s () -. started, cost) :: !trace
-  in
-  match strategy with
-  | Greedy_g1 -> finish (Greedy.g1 problem)
-  | Greedy_g2 -> finish (Greedy.g2 problem)
-  | Random_r1 trials ->
-      let plan, _ = Random_search.r1 ~on_improve rng objective problem ~trials in
-      finish ~solver:(Random_stats { trials }) ~trace:(List.rev !trace) plan
-  | Random_r2 budget ->
-      let plan, _, trials =
-        Random_search.r2 ~on_improve rng objective problem ~time_limit:budget
-      in
-      finish ~solver:(Random_stats { trials }) ~trace:(List.rev !trace) plan
-  | Descent budget ->
-      let plan, _, restarts =
-        Random_search.r2_descent ~on_improve rng objective problem ~time_limit:budget
-      in
-      finish ~solver:(Random_stats { trials = restarts }) ~trace:(List.rev !trace) plan
-  | Anneal options ->
-      let r = Anneal.solve_objective ~options ~on_improve rng objective problem in
-      finish
-        ~solver:
-          (Anneal_stats
-             {
-               moves_tried = r.Anneal.moves_tried;
-               moves_accepted = r.Anneal.moves_accepted;
-             })
-        ~trace:(List.rev !trace) r.Anneal.plan
-  | Cp options -> (
-      match objective with
-      | Cost.Longest_link ->
-          let r = Cp_solver.solve ~options rng problem in
-          finish
-            ~solver:
-              (Cp_stats
-                 {
-                   iterations = r.Cp_solver.iterations;
-                   nodes = r.Cp_solver.nodes;
-                   failures = r.Cp_solver.failures;
-                   propagations = r.Cp_solver.propagations;
-                 })
-            ~proven:r.Cp_solver.proven_optimal ~trace:r.Cp_solver.trace r.Cp_solver.plan
-      | Cost.Longest_path ->
-          invalid_arg
-            "Advisor: the CP strategy only supports the longest-link objective")
-  | Mip options ->
-      let solver =
-        match objective with
-        | Cost.Longest_link -> Mip_solver.solve_longest_link
-        | Cost.Longest_path -> Mip_solver.solve_longest_path
-      in
-      let r = solver ~options rng problem in
-      finish
-        ~solver:
-          (Mip_stats
-             {
-               nodes_explored = r.Mip_solver.nodes_explored;
-               nodes_pruned = r.Mip_solver.nodes_pruned;
-             })
-        ~proven:r.Mip_solver.proven_optimal ~trace:r.Mip_solver.trace r.Mip_solver.plan
-  | Portfolio options ->
-      let r = Portfolio.solve ~options rng objective problem in
-      let members =
-        List.map
-          (fun (w : Portfolio.worker) ->
-            {
-              member_name = Portfolio.member_to_string w.Portfolio.member;
-              member_cost = w.Portfolio.best_cost;
-              member_time_to_best = w.Portfolio.time_to_best;
-              member_seconds = w.Portfolio.elapsed;
-              member_iterations = w.Portfolio.iterations;
-              member_proved = w.Portfolio.proved_optimal;
-            })
-          r.Portfolio.workers
-      in
-      finish ~proven:r.Portfolio.proven_optimal ~trace:r.Portfolio.trace
-        ~winner:r.Portfolio.winner_name ~members r.Portfolio.plan
+  let o = Solver.run strategy rng objective problem in
+  ( o.Solver.plan,
+    {
+      strategy_name = Solver.name strategy;
+      solver = o.Solver.stats;
+      stop_reason = o.Solver.stop_reason;
+      incumbent_trace = o.Solver.trace;
+      winner =
+        Option.map (fun i -> (List.nth o.Solver.members i).Solver.member_name) o.Solver.winner;
+      members = o.Solver.members;
+      counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ());
+    } )
 
 let search rng strategy objective problem =
   fst (search_with_telemetry rng strategy objective problem)

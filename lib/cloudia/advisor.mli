@@ -15,31 +15,13 @@
     instances in allocation order), which is what a tenant gets without
     ClouDiA. *)
 
-type strategy =
-  | Greedy_g1
-  | Greedy_g2
-  | Random_r1 of int            (** best of N random plans *)
-  | Random_r2 of float          (** random plans for a time budget (s) *)
-  | Descent of float
-      (** R2 with local descent for a time budget (s): random restarts
-          refined to swap/relocate local optima through the incremental
-          {!Delta_cost} kernel (see {!Random_search.r2_descent}) *)
-  | Anneal of Anneal.options    (** simulated annealing (either objective) *)
-  | Cp of Cp_solver.options     (** LLNDP only *)
-  | Mip of Mip_solver.options
-  | Portfolio of Portfolio.options
-      (** several strategies racing in parallel domains under one
-          deadline, sharing an incumbent (see {!Portfolio}) *)
-
-val strategy_to_string : strategy -> string
-
 type config = {
   graph : Graphs.Digraph.t;        (** application communication graph *)
   objective : Cost.objective;
   metric : Metrics.t;
   over_allocation : float;         (** e.g. [0.1] for the paper's 10 % *)
   samples_per_pair : int;          (** measurement effort per link *)
-  strategy : strategy;
+  strategy : Solver.t;
 }
 
 type on_missing =
@@ -57,34 +39,18 @@ type on_missing =
 
 val on_missing_to_string : on_missing -> string
 
-type solver_stats =
-  | No_solver_stats                (** greedy strategies: nothing to count *)
-  | Cp_stats of { iterations : int; nodes : int; failures : int; propagations : int }
-      (** feasibility iterations, plus the CP kernel's search effort
-          summed over every dive *)
-  | Mip_stats of { nodes_explored : int; nodes_pruned : int }
-  | Anneal_stats of { moves_tried : int; moves_accepted : int }
-  | Random_stats of { trials : int }
-
-type member_stats = {
-  member_name : string;            (** {!Portfolio.member_to_string} *)
-  member_cost : float;             (** the member's own best true cost *)
-  member_time_to_best : float;     (** seconds until its last improvement *)
-  member_seconds : float;          (** wall-clock the member spent searching *)
-  member_iterations : int;         (** solver-specific effort count *)
-  member_proved : bool;
-}
-
 type telemetry = {
-  strategy_name : string;          (** {!strategy_to_string} of the config *)
-  solver : solver_stats;           (** kernel effort of the strategy run *)
-  proven_optimal : bool;           (** the strategy proved optimality under
-                                       its own (possibly rounded) costs *)
+  strategy_name : string;          (** {!Solver.name} of the config *)
+  solver : Solver.stats;           (** kernel effort of the strategy run *)
+  stop_reason : Solver.stop_reason;
+      (** why the search stopped; [Proven_optimal] means optimal under the
+          strategy's own (possibly rounded) costs, or, for a portfolio,
+          proved by a member on exact costs *)
   incumbent_trace : (float * float) list;
       (** anytime curve: (elapsed seconds, cost) at each improvement,
           oldest first; empty for the greedy strategies *)
   winner : string option;          (** portfolio only: winning member name *)
-  members : member_stats list;     (** portfolio only: per-member telemetry *)
+  members : Solver.member list;    (** portfolio only: per-member telemetry *)
   counters : (string * int) list;
       (** {!Obs.Counter} deltas across the search step, sorted by name;
           zero deltas omitted *)
@@ -133,9 +99,8 @@ val run :
 (** Raises [Lint.Diagnostic.Failed] when the pre-solve lint gate finds an
     error in the configuration, the communication graph, or the measured
     cost matrix — with [~strict_lint:true], warnings block too. Raises
-    [Invalid_argument] when the strategy cannot handle the objective (CP
-    handles longest link only, per Sect. 4.4's argument that the
-    longest-path objective defeats the iterated-SIP scheme). The
+    [Invalid_argument] when the strategy cannot handle the objective
+    ({!Solver.supports}). The
     allocate / measure / search steps run under {!Obs.Span}s of those
     names (nested in an ["advise"] root), so [--trace] output shows where
     the tuning budget went.
@@ -149,11 +114,11 @@ val run :
     the [Mean] metric only (raises [Invalid_argument] otherwise): the
     probe schemes keep running sums, not sample distributions. *)
 
-val search : Prng.t -> strategy -> Cost.objective -> Types.problem -> Types.plan
+val search : Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan
 (** Just step 3: run a strategy on an existing problem. *)
 
 val search_with_telemetry :
-  Prng.t -> strategy -> Cost.objective -> Types.problem -> Types.plan * telemetry
+  Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan * telemetry
 (** Like {!search} but also returns the solver statistics, incumbent trace
     and counter deltas the plain interface drops. Both run the pre-solve
     lint gate on the problem first and raise [Lint.Diagnostic.Failed] on an

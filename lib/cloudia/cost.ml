@@ -4,6 +4,11 @@ let objective_to_string = function
   | Longest_link -> "longest-link"
   | Longest_path -> "longest-path"
 
+let objective_of_string = function
+  | "ll" | "longest-link" -> Some Longest_link
+  | "lp" | "longest-path" -> Some Longest_path
+  | _ -> None
+
 let longest_link_witness (t : Types.problem) plan =
   (* Initialize below any real edge cost: with [0.0] and strict [>], an
      all-zero (or, defensively, negative) cost matrix reported no witness

@@ -7,6 +7,11 @@
 type objective = Longest_link | Longest_path
 
 val objective_to_string : objective -> string
+(** ["longest-link"] or ["longest-path"]. *)
+
+val objective_of_string : string -> objective option
+(** Accepts {!objective_to_string}'s names and the short forms ["ll"] and
+    ["lp"] (case-sensitive). *)
 
 val longest_link : Types.problem -> Types.plan -> float
 (** [max over communication edges (i,i') of costs(plan i)(plan i')].

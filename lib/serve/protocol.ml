@@ -60,10 +60,10 @@ type reply =
 
 (* --- JSON encoding --------------------------------------------------- *)
 
-let objective_of_string = function
-  | "longest-link" -> Cloudia.Cost.Longest_link
-  | "longest-path" -> Cloudia.Cost.Longest_path
-  | s -> fail "unknown objective %S" s
+let objective_of_string s =
+  match Cloudia.Cost.objective_of_string s with
+  | Some o -> o
+  | None -> fail "unknown objective %S" s
 
 let json_of_graph g =
   let edges =

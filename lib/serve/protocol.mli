@@ -55,7 +55,9 @@ type reply =
   | Rejected of { j_id : string; reason : string }
       (** backpressure: the job never entered the queue *)
   | Failed of { j_id : string; message : string }
-      (** the job ran but the solver raised *)
+      (** the job had an out-of-range field (refused before queueing:
+          [budget] finite and > 0, [deadline] > 0, [max_moves] and
+          [clusters] >= 1) or its solver raised *)
   | Pong
   | Stats of (string * int) list
 

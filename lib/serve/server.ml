@@ -119,6 +119,17 @@ let memo_key (job : Protocol.job) ~inc_key =
     (match job.max_moves with Some m -> string_of_int m | None -> "-")
     (match effective_clusters job with Some k -> string_of_int k | None -> "-")
 
+(* The one place the wire's solver names meet the library's. *)
+let solver_of_job (job : Protocol.job) =
+  match job.solver with
+  | Protocol.Cp ->
+      Cloudia.Solver.Cp
+        { Cloudia.Cp_solver.default_options with clusters = effective_clusters job }
+  | Protocol.Anneal ->
+      Cloudia.Solver.Anneal { Cloudia.Anneal.default_options with max_moves = job.max_moves }
+  | Protocol.Greedy -> Cloudia.Solver.Greedy_g2
+  | Protocol.Descent -> Cloudia.Solver.Descent job.budget
+
 let execute t (job : Protocol.job) ~deadline_at =
   let problem = Cloudia.Types.of_matrix ~graph:job.graph job.costs in
   let fp = Cache.fingerprint job.costs in
@@ -130,83 +141,35 @@ let execute t (job : Protocol.job) ~deadline_at =
   match Cache.memo_find t.cache ~key with
   | Some { Cache.plan; cost } -> (fp, { plan; cost; cached = true; warm = false })
   | None ->
-      let rng = Prng.create job.seed in
+      let solver = solver_of_job job in
       let stop () = Atomic.get t.stopping || Obs.Clock.now_s () > deadline_at in
-      let budget = Float.max 0.0 (Float.min job.budget (deadline_at -. Obs.Clock.now_s ())) in
-      let warm_start = Cache.incumbent t.cache ~key:inc_key in
-      (* Only Cp/Anneal consume a warm start; the flag reports actual use. *)
-      let warm =
-        warm_start <> None
-        && match job.solver with Protocol.Cp | Protocol.Anneal -> true | _ -> false
+      let budget = Float.min job.budget (deadline_at -. Obs.Clock.now_s ()) in
+      let init = Option.map (fun i -> i.Cache.plan) (Cache.incumbent t.cache ~key:inc_key) in
+      let clustering () =
+        let k = effective_clusters job in
+        let ckey = fp ^ "#" ^ match k with Some k -> string_of_int k | None -> "exact" in
+        Cache.clustering t.cache ~key:ckey (fun () ->
+            match k with
+            | Some k -> Cloudia.Clustering.cluster ~k job.costs
+            | None -> Cloudia.Clustering.none job.costs)
       in
-      let plan, cost, complete =
-        match job.solver with
-        | Protocol.Cp ->
-            if job.objective <> Cloudia.Cost.Longest_link then
-              invalid_arg "serve: the cp solver only supports the longest-link objective";
-            let k = effective_clusters job in
-            let ckey =
-              fp ^ "#" ^ (match k with Some k -> string_of_int k | None -> "exact")
-            in
-            let clustering =
-              Cache.clustering t.cache ~key:ckey (fun () ->
-                  match k with
-                  | Some k -> Cloudia.Clustering.cluster ~k job.costs
-                  | None -> Cloudia.Clustering.none job.costs)
-            in
-            let options =
-              { Cloudia.Cp_solver.default_options with time_limit = budget; clusters = k }
-            in
-            let r =
-              Cloudia.Cp_solver.solve ~options ~clustering
-                ?warm_start:(Option.map (fun i -> i.Cache.plan) warm_start)
-                ~stop rng problem
-            in
-            (r.Cloudia.Cp_solver.plan, r.Cloudia.Cp_solver.cost, r.Cloudia.Cp_solver.proven_optimal)
-        | Protocol.Anneal ->
-            let options =
-              {
-                Cloudia.Anneal.default_options with
-                time_limit = budget;
-                max_moves = job.max_moves;
-              }
-            in
-            let ranks =
-              match job.objective with
-              | Cloudia.Cost.Longest_link ->
-                  Some
-                    (Cache.ranks t.cache ~key:fp (fun () ->
-                         Cloudia.Delta_cost.ranks_of_matrix job.costs))
-              | Cloudia.Cost.Longest_path -> None
-            in
-            let r =
-              Cloudia.Anneal.solve_objective ~options ~stop
-                ?init:(Option.map (fun i -> i.Cache.plan) warm_start)
-                ?ranks rng job.objective problem
-            in
-            (* Memo only runs whose fixed move budget was fully spent: the
-               wall clock then never truncated the search, so the result is
-               a pure function of the job. *)
-            let complete =
-              match job.max_moves with
-              | Some m -> r.Cloudia.Anneal.moves_tried >= m
-              | None -> false
-            in
-            (r.Cloudia.Anneal.plan, r.Cloudia.Anneal.cost, complete)
-        | Protocol.Greedy ->
-            let plan = Cloudia.Greedy.g2 problem in
-            (plan, Cloudia.Cost.eval job.objective problem plan, true)
-        | Protocol.Descent ->
-            let plan, cost, _restarts =
-              Cloudia.Random_search.r2_descent ~stop rng job.objective problem
-                ~time_limit:budget
-            in
-            (plan, cost, false)
+      let ranks () =
+        Cache.ranks t.cache ~key:fp (fun () -> Cloudia.Delta_cost.ranks_of_matrix job.costs)
       in
+      let o =
+        Cloudia.Solver.run ~stop ?init ~clustering ~ranks ~time_limit:budget solver
+          (Prng.create job.seed) job.objective problem
+      in
+      let plan = o.Cloudia.Solver.plan and cost = o.Cloudia.Solver.cost in
       if Float.is_finite cost then begin
         Cache.note_incumbent t.cache ~key:inc_key plan cost;
-        if complete then Cache.memo_add t.cache ~key plan cost
+        (* A run that did not stop on the clock is a pure function of the
+           job, so an identical re-submission may be answered from the
+           memo. *)
+        if o.Cloudia.Solver.stop_reason <> Cloudia.Solver.Budget then
+          Cache.memo_add t.cache ~key plan cost
       end;
+      let warm = init <> None && Cloudia.Solver.uses_init solver in
       (fp, { plan; cost; cached = false; warm })
 
 let run_item t item =
@@ -270,6 +233,21 @@ let stats_reply t =
   in
   Protocol.Stats ((("queue_depth", qd) :: serve_counters) @ Cache.stats t.cache)
 
+(* Out-of-range fields are refused before the job is queued, with the
+   same message whichever solver the job names. *)
+let invalid_field (job : Protocol.job) =
+  let below_one = function Some v -> v < 1 | None -> false in
+  if not (Float.is_finite job.budget && job.budget > 0.0) then
+    Some (Printf.sprintf "invalid job: budget must be finite and > 0 (got %g)" job.budget)
+  else
+    match job.deadline with
+    | Some d when not (d > 0.0) ->
+        Some (Printf.sprintf "invalid job: deadline must be > 0 (got %g)" d)
+    | _ ->
+        if below_one job.max_moves then Some "invalid job: max_moves must be >= 1"
+        else if below_one job.clusters then Some "invalid job: clusters must be >= 1"
+        else None
+
 let enqueue t conn (job : Protocol.job) =
   let now = Obs.Clock.now_s () in
   let deadline =
@@ -307,7 +285,9 @@ let reader t conn () =
         reply conn (stats_reply t);
         loop ()
     | Some (Protocol.Advise job) ->
-        enqueue t conn job;
+        (match invalid_field job with
+        | Some message -> reply conn (Protocol.Failed { j_id = job.id; message })
+        | None -> enqueue t conn job);
         loop ()
     | exception Protocol.Protocol_error m ->
         (* Unframeable garbage: answer once, then drop the connection —

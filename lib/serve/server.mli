@@ -2,13 +2,15 @@
     across a pool of worker domains.
 
     One accept thread and one reader thread per connection feed a bounded
-    job queue drained by [domains] worker domains. A full queue answers
-    [Rejected] immediately (backpressure) instead of buffering; each job
+    job queue drained by [domains] worker domains. A job with an
+    out-of-range field is answered [Failed] and never queued. A full
+    queue answers [Rejected] immediately (backpressure) instead of
+    buffering; each job
     carries a deadline (its own or the server default) enforced both in
     the queue and inside the solver via its [stop] hook. Results flow
     through the fingerprint-keyed {!Cache}: identical re-submissions are
-    answered from a memo when the original solve was deterministic and
-    ran to completion, and new solves of a known matrix reuse cached
+    answered from a memo when the original solve did not stop on its
+    budget ({!Cloudia.Solver.stop_reason}), and new solves of a known matrix reuse cached
     clusterings / rank tables and warm-start from the best incumbent seen
     for that (matrix, graph, objective).
 

@@ -67,7 +67,7 @@ let test_advisor_report_fields_agree () =
       metric = Metrics.Mean;
       over_allocation = 0.3;
       samples_per_pair = 20;
-      strategy = Advisor.Greedy_g2;
+      strategy = Solver.Greedy_g2;
     }
   in
   let r = Advisor.run (Prng.create 13) ec2 config in

@@ -420,7 +420,7 @@ let advisor_config =
     metric = Cloudia.Metrics.Mean;
     over_allocation = 0.5;
     samples_per_pair = 3;
-    strategy = Cloudia.Advisor.Greedy_g2;
+    strategy = Cloudia.Solver.Greedy_g2;
   }
 
 let crash_faults =
@@ -492,7 +492,7 @@ let test_search_gate_blocks_partial_matrix () =
   let costs = [| [| 0.0; nan |]; [| 0.7; 0.0 |] |] in
   let problem = Cloudia.Types.problem ~graph ~costs in
   match
-    Cloudia.Advisor.search (Prng.create 31) Cloudia.Advisor.Greedy_g1
+    Cloudia.Advisor.search (Prng.create 31) Cloudia.Solver.Greedy_g1
       Cloudia.Cost.Longest_link problem
   with
   | exception Lint.Diagnostic.Failed ds ->

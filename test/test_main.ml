@@ -15,6 +15,7 @@ let () =
       ("lint", Test_lint.suite);
       ("analysis", Test_analysis.suite);
       ("portfolio", Test_portfolio.suite);
+      ("solver", Test_solver.suite);
       ("workloads", Test_workloads.suite);
       ("extensions", Test_extensions.suite);
       ("more", Test_more.suite);

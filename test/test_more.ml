@@ -21,12 +21,12 @@ let test_advisor_anneal_strategy () =
       metric = Metrics.Mean;
       over_allocation = 0.2;
       samples_per_pair = 15;
-      strategy = Advisor.Anneal { Anneal.default_options with Anneal.time_limit = 0.5 };
+      strategy = Solver.Anneal { Anneal.default_options with Anneal.time_limit = 0.5 };
     }
   in
   let report = Advisor.run (Prng.create 5) ec2 config in
   Alcotest.(check bool) "valid" true (Types.is_valid report.Advisor.problem report.Advisor.plan);
-  Alcotest.(check string) "name" "SA" (Advisor.strategy_to_string config.Advisor.strategy)
+  Alcotest.(check string) "name" "SA" (Solver.name config.Advisor.strategy)
 
 let test_advisor_anneal_longest_path () =
   (* Annealing handles the longest-path objective directly (unlike CP). *)
@@ -37,7 +37,7 @@ let test_advisor_anneal_longest_path () =
       metric = Metrics.Mean;
       over_allocation = 0.3;
       samples_per_pair = 15;
-      strategy = Advisor.Anneal { Anneal.default_options with Anneal.time_limit = 0.5 };
+      strategy = Solver.Anneal { Anneal.default_options with Anneal.time_limit = 0.5 };
     }
   in
   let report = Advisor.run (Prng.create 6) ec2 config in
@@ -47,16 +47,16 @@ let test_advisor_anneal_longest_path () =
 let test_strategy_names () =
   let cases =
     [
-      (Advisor.Greedy_g1, "G1");
-      (Advisor.Greedy_g2, "G2");
-      (Advisor.Random_r1 5, "R1(5)");
-      (Advisor.Cp Cp_solver.default_options, "CP");
-      (Advisor.Mip Mip_solver.default_options, "MIP");
+      (Solver.Greedy_g1, "G1");
+      (Solver.Greedy_g2, "G2");
+      (Solver.Random_r1 5, "R1(5)");
+      (Solver.Cp Cp_solver.default_options, "CP");
+      (Solver.Mip Mip_solver.default_options, "MIP");
     ]
   in
   List.iter
     (fun (s, expected) ->
-      Alcotest.(check string) expected expected (Advisor.strategy_to_string s))
+      Alcotest.(check string) expected expected (Solver.name s))
     cases
 
 (* ---------- Option validation ---------- *)

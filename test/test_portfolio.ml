@@ -1,9 +1,10 @@
 open Cloudia
 
-(* Tests for the parallel solver portfolio: determinism of iteration-capped
-   member sets, optimality via the shared-incumbent CP member, merged-trace
-   monotonicity, cooperative cancellation, and argument validation. Problems
-   are tiny so the domains finish in milliseconds even on one core. *)
+(* Tests for the parallel solver portfolio ({!Solver.Portfolio}):
+   determinism of iteration-capped member sets, optimality via the
+   shared-incumbent CP member, merged-trace monotonicity, cooperative
+   cancellation, and argument validation. Problems are tiny so the domains
+   finish in milliseconds even on one core. *)
 
 let random_problem ?(nodes = 5) ?(instances = 7) ?(extra_edges = 3) seed =
   let rng = Prng.create seed in
@@ -29,75 +30,75 @@ let tree_problem seed instances =
    interleave. The generous time limit must never fire first. *)
 let capped_members =
   [
-    Portfolio.Greedy_g1;
-    Portfolio.Greedy_g2;
-    Portfolio.Random_r1 300;
-    Portfolio.Anneal
+    Solver.Greedy_g1;
+    Solver.Greedy_g2;
+    Solver.Random_r1 300;
+    Solver.Anneal
       { Anneal.default_options with Anneal.time_limit = 60.0; max_moves = Some 2000 };
   ]
 
-let capped_options =
-  { Portfolio.members = capped_members; time_limit = 60.0; share_incumbent = true }
+let capped = { Solver.members = capped_members; time_limit = 60.0; share_incumbent = true }
+
+let race ?(objective = Cost.Longest_link) portfolio seed p =
+  Solver.run (Solver.Portfolio portfolio) (Prng.create seed) objective p
+
+let roster ~objective ~domains =
+  match Solver.portfolio ~objective ~domains ~time_limit:30.0 with
+  | Solver.Portfolio r -> r
+  | _ -> Alcotest.fail "Solver.portfolio must build a portfolio"
 
 let test_portfolio_deterministic () =
   let p = random_problem 11 in
-  let run () = Portfolio.solve ~options:capped_options (Prng.create 7) Cost.Longest_link p in
+  let run () = race capped 7 p in
   let a = run () and b = run () in
-  Alcotest.(check (array int)) "same plan" a.Portfolio.plan b.Portfolio.plan;
-  Alcotest.(check (float 0.0)) "same cost" a.Portfolio.cost b.Portfolio.cost;
-  Alcotest.(check int) "same winner" a.Portfolio.winner b.Portfolio.winner;
+  Alcotest.(check (array int)) "same plan" a.Solver.plan b.Solver.plan;
+  Alcotest.(check (float 0.0)) "same cost" a.Solver.cost b.Solver.cost;
+  Alcotest.(check (option int)) "same winner" a.Solver.winner b.Solver.winner;
+  Alcotest.(check bool) "every member finished" true (a.Solver.stop_reason = Solver.Finished);
   List.iter2
-    (fun (wa : Portfolio.worker) (wb : Portfolio.worker) ->
-      Alcotest.(check (float 0.0)) "same worker best" wa.Portfolio.best_cost
-        wb.Portfolio.best_cost;
-      Alcotest.(check int) "same worker effort" wa.Portfolio.iterations
-        wb.Portfolio.iterations)
-    a.Portfolio.workers b.Portfolio.workers
+    (fun (ma : Solver.member) (mb : Solver.member) ->
+      Alcotest.(check (float 0.0)) "same member best" ma.member_cost mb.member_cost;
+      Alcotest.(check int) "same member effort" ma.iterations mb.iterations)
+    a.Solver.members b.Solver.members
 
 let test_portfolio_matches_brute_force () =
   (* With an exact CP member the portfolio must land on the true optimum
      and report it proven, regardless of what the heuristics publish. *)
   for seed = 1 to 4 do
     let p = random_problem seed in
-    let options =
-      {
-        Portfolio.members = Portfolio.default_members ~objective:Cost.Longest_link ~domains:4;
-        time_limit = 30.0;
-        share_incumbent = true;
-      }
-    in
-    let r = Portfolio.solve ~options (Prng.create seed) Cost.Longest_link p in
+    let r = race (roster ~objective:Cost.Longest_link ~domains:4) seed p in
     let _, optimal = Brute_force.solve Cost.Longest_link p in
-    Alcotest.(check bool) "valid" true (Types.is_valid p r.Portfolio.plan);
-    Alcotest.(check bool) "proven" true r.Portfolio.proven_optimal;
+    Alcotest.(check bool) "valid" true (Types.is_valid p r.Solver.plan);
+    Alcotest.(check bool) "proven" true (r.Solver.stop_reason = Solver.Proven_optimal);
     Alcotest.(check bool)
-      (Printf.sprintf "seed %d optimal: expected %.6f got %.6f" seed optimal
-         r.Portfolio.cost)
+      (Printf.sprintf "seed %d optimal: expected %.6f got %.6f" seed optimal r.Solver.cost)
       true
-      (Float.abs (optimal -. r.Portfolio.cost) <= 1e-9)
+      (Float.abs (optimal -. r.Solver.cost) <= 1e-9)
   done
 
 let test_portfolio_no_worse_than_members () =
-  (* The winning plan can never cost more than what any single worker
+  (* The winning plan can never cost more than what any single member
      ended with — the portfolio dominates its best member by construction. *)
   let p = random_problem 31 in
-  let r = Portfolio.solve ~options:capped_options (Prng.create 5) Cost.Longest_link p in
+  let started = Obs.Clock.now_s () in
+  let r = race capped 5 p in
+  let elapsed = Obs.Clock.now_s () -. started in
   Alcotest.(check bool) "winner in range" true
-    (r.Portfolio.winner >= 0 && r.Portfolio.winner < List.length capped_members);
+    (match r.Solver.winner with
+    | Some w -> w >= 0 && w < List.length capped_members
+    | None -> false);
   Alcotest.(check int) "one telemetry row per member" (List.length capped_members)
-    (List.length r.Portfolio.workers);
+    (List.length r.Solver.members);
   List.iter
-    (fun (w : Portfolio.worker) ->
-      Alcotest.(check bool) "portfolio <= member" true
-        (r.Portfolio.cost <= w.Portfolio.best_cost +. 1e-9);
+    (fun (m : Solver.member) ->
+      Alcotest.(check bool) "portfolio <= member" true (r.Solver.cost <= m.member_cost +. 1e-9);
       Alcotest.(check bool) "time-to-best sane" true
-        (w.Portfolio.time_to_best >= 0.0
-        && w.Portfolio.time_to_best <= r.Portfolio.elapsed +. 1.0))
-    r.Portfolio.workers
+        (m.time_to_best >= 0.0 && m.time_to_best <= elapsed +. 1.0))
+    r.Solver.members
 
 let test_portfolio_trace_monotonic () =
   let p = random_problem ~nodes:6 ~instances:8 17 in
-  let r = Portfolio.solve ~options:capped_options (Prng.create 3) Cost.Longest_link p in
+  let r = race capped 3 p in
   let rec check_sorted = function
     | (t1, c1) :: ((t2, c2) :: _ as rest) ->
         Alcotest.(check bool) "times non-decreasing" true (t1 <= t2);
@@ -105,103 +106,87 @@ let test_portfolio_trace_monotonic () =
         check_sorted rest
     | _ -> ()
   in
-  check_sorted r.Portfolio.trace;
-  (match List.rev r.Portfolio.trace with
-  | (_, last) :: _ ->
-      Alcotest.(check (float 1e-9)) "trace ends at final cost" r.Portfolio.cost last
-  | [] -> Alcotest.fail "empty trace")
+  check_sorted r.Solver.trace;
+  match List.rev r.Solver.trace with
+  | (_, last) :: _ -> Alcotest.(check (float 1e-9)) "trace ends at final cost" r.Solver.cost last
+  | [] -> Alcotest.fail "empty trace"
 
 let test_portfolio_cancels_on_optimality () =
   (* The exact CP member proves optimality on a tiny problem almost
      instantly; the R2 members must then stop cooperatively long before
      the 30 s deadline. *)
   let p = random_problem ~nodes:4 ~instances:5 ~extra_edges:1 41 in
-  let options =
+  let portfolio =
     {
-      Portfolio.members =
+      Solver.members =
         [
-          Portfolio.Cp { Cp_solver.default_options with Cp_solver.clusters = None };
-          Portfolio.Random_r2;
-          Portfolio.Random_r2;
+          Solver.Cp { Cp_solver.default_options with Cp_solver.clusters = None };
+          Solver.Random_r2 30.0;
+          Solver.Random_r2 30.0;
         ];
       time_limit = 30.0;
       share_incumbent = true;
     }
   in
-  let r = Portfolio.solve ~options (Prng.create 9) Cost.Longest_link p in
-  Alcotest.(check bool) "proven" true r.Portfolio.proven_optimal;
+  let started = Obs.Clock.now_s () in
+  let r = race portfolio 9 p in
+  let elapsed = Obs.Clock.now_s () -. started in
+  Alcotest.(check bool) "proven" true (r.Solver.stop_reason = Solver.Proven_optimal);
   Alcotest.(check bool)
-    (Printf.sprintf "cancelled well before deadline (%.2fs)" r.Portfolio.elapsed)
-    true (r.Portfolio.elapsed < 15.0)
+    (Printf.sprintf "cancelled well before deadline (%.2fs)" elapsed)
+    true (elapsed < 15.0)
 
 let test_portfolio_longest_path () =
   let p = tree_problem 2 5 in
-  let options =
-    {
-      Portfolio.members = Portfolio.default_members ~objective:Cost.Longest_path ~domains:3;
-      time_limit = 30.0;
-      share_incumbent = true;
-    }
-  in
-  let r = Portfolio.solve ~options (Prng.create 13) Cost.Longest_path p in
-  let _, optimal = Brute_force.solve Cost.Longest_path p in
-  Alcotest.(check bool) "valid" true (Types.is_valid p r.Portfolio.plan);
-  Alcotest.(check (float 1e-9)) "matches brute force" optimal r.Portfolio.cost
+  let objective = Cost.Longest_path in
+  let r = race ~objective (roster ~objective ~domains:3) 13 p in
+  let _, optimal = Brute_force.solve objective p in
+  Alcotest.(check bool) "valid" true (Types.is_valid p r.Solver.plan);
+  Alcotest.(check (float 1e-9)) "matches brute force" optimal r.Solver.cost
 
 let test_portfolio_without_sharing () =
   let p = random_problem 23 in
-  let options = { capped_options with Portfolio.share_incumbent = false } in
-  let r = Portfolio.solve ~options (Prng.create 2) Cost.Longest_link p in
-  Alcotest.(check bool) "valid" true (Types.is_valid p r.Portfolio.plan)
+  let r = race { capped with Solver.share_incumbent = false } 2 p in
+  Alcotest.(check bool) "valid" true (Types.is_valid p r.Solver.plan)
 
 let test_portfolio_validation () =
   let p = random_problem 3 in
-  Alcotest.check_raises "empty members"
-    (Invalid_argument "Portfolio.solve: members must be non-empty") (fun () ->
-      ignore
-        (Portfolio.solve
-           ~options:{ capped_options with Portfolio.members = [] }
-           (Prng.create 1) Cost.Longest_link p));
-  Alcotest.check_raises "cp + longest path"
-    (Invalid_argument "Portfolio.solve: the CP member only supports the longest-link objective")
-    (fun () ->
-      ignore
-        (Portfolio.solve
-           ~options:
-             {
-               capped_options with
-               Portfolio.members = [ Portfolio.Cp Cp_solver.default_options ];
-             }
-           (Prng.create 1) Cost.Longest_path p));
-  Alcotest.check_raises "zero budget"
-    (Invalid_argument "Portfolio.solve: time_limit must be positive") (fun () ->
-      ignore
-        (Portfolio.solve
-           ~options:{ capped_options with Portfolio.time_limit = 0.0 }
-           (Prng.create 1) Cost.Longest_link p));
+  let rejects what message ?(objective = Cost.Longest_link) portfolio =
+    Alcotest.check_raises what (Invalid_argument message) (fun () ->
+        ignore (race ~objective portfolio 1 p))
+  in
+  rejects "empty members" "Solver.run: a portfolio needs members"
+    { capped with Solver.members = [] };
+  rejects "cp + longest path" "Solver.run: CP does not support the longest-path objective"
+    ~objective:Cost.Longest_path
+    { capped with Solver.members = [ Solver.Cp Cp_solver.default_options ] };
+  rejects "zero budget" "Solver.run: time_limit must be positive"
+    { capped with Solver.time_limit = 0.0 };
+  rejects "nested" "Solver.run: a portfolio cannot be a portfolio member"
+    { capped with Solver.members = [ Solver.Greedy_g1; Solver.Portfolio capped ] };
   Alcotest.check_raises "no domains"
-    (Invalid_argument "Portfolio.default_members: domains must be >= 1") (fun () ->
-      ignore (Portfolio.default_members ~objective:Cost.Longest_link ~domains:0))
+    (Invalid_argument "Solver.portfolio: domains must be >= 1") (fun () ->
+      ignore (Solver.portfolio ~objective:Cost.Longest_link ~domains:0 ~time_limit:1.0))
 
 let test_default_members_roster () =
   List.iter
     (fun domains ->
-      let members = Portfolio.default_members ~objective:Cost.Longest_link ~domains in
+      let r = roster ~objective:Cost.Longest_link ~domains in
       Alcotest.(check int)
         (Printf.sprintf "%d domains -> %d members" domains domains)
-        domains (List.length members);
-      match members with
-      | Portfolio.Cp { Cp_solver.clusters = None; _ } :: _ -> ()
+        domains (List.length r.Solver.members);
+      match r.Solver.members with
+      | Solver.Cp { Cp_solver.clusters = None; _ } :: _ -> ()
       | _ -> Alcotest.fail "exact CP member must lead the longest-link roster")
     [ 1; 2; 4; 6 ];
-  match Portfolio.default_members ~objective:Cost.Longest_path ~domains:2 with
-  | Portfolio.Mip { Mip_solver.clusters = None; _ } :: _ -> ()
+  match (roster ~objective:Cost.Longest_path ~domains:2).Solver.members with
+  | Solver.Mip { Mip_solver.clusters = None; _ } :: _ -> ()
   | _ -> Alcotest.fail "exact MIP member must lead the longest-path roster"
 
 let test_portfolio_via_advisor () =
   let p = random_problem 29 in
-  let strategy = Advisor.Portfolio capped_options in
-  Alcotest.(check string) "strategy name" "Portfolio(4)" (Advisor.strategy_to_string strategy);
+  let strategy = Solver.Portfolio capped in
+  Alcotest.(check string) "strategy name" "Portfolio(4)" (Solver.name strategy);
   let plan = Advisor.search (Prng.create 19) strategy Cost.Longest_link p in
   Alcotest.(check bool) "valid" true (Types.is_valid p plan)
 

@@ -386,11 +386,55 @@ let test_solver_failure_is_replied () =
   let r = advise_result c (job ~id:"ok" ()) in
   Alcotest.(check string) "worker alive" "ok" r.r_id
 
+let test_invalid_fields_failed () =
+  (* Out-of-range fields are refused at enqueue with one message naming
+     the field, whichever solver the job names; the connection stays
+     open for the next job. *)
+  with_server "invalid" @@ fun sock ->
+  let c = Serve.Client.connect sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  (* Process-wide counter: compare against its value on entry. *)
+  let jobs () =
+    Option.value ~default:0 (List.assoc_opt "serve.jobs" (Serve.Client.stats c))
+  in
+  let jobs_before = jobs () in
+  let failed j =
+    match Serve.Client.advise c j with
+    | Serve.Protocol.Failed { j_id; message } ->
+        Alcotest.(check string) "id echoed" j.Serve.Protocol.id j_id;
+        message
+    | _ -> Alcotest.fail (j.Serve.Protocol.id ^ ": expected Failed")
+  in
+  let zero_budget =
+    List.map
+      (fun solver ->
+        failed (job ~id:(Serve.Protocol.solver_to_string solver) ~solver ~budget:0.0 ()))
+      Serve.Protocol.[ Cp; Anneal; Greedy; Descent ]
+  in
+  List.iter
+    (Alcotest.(check string) "same message for every solver"
+       "invalid job: budget must be finite and > 0 (got 0)")
+    zero_budget;
+  let names field message =
+    Alcotest.(check bool) (message ^ " names " ^ field) true
+      (String.starts_with ~prefix:("invalid job: " ^ field) message)
+  in
+  names "budget" (failed (job ~id:"neg" ~budget:(-1.0) ()));
+  names "deadline" (failed (job ~id:"dl" ~deadline:0.0 ()));
+  names "max_moves"
+    (failed (job ~id:"moves" ~solver:Serve.Protocol.Anneal ~max_moves:(-5) ()));
+  names "clusters" (failed (job ~id:"k" ~solver:Serve.Protocol.Cp ~clusters:0 ()));
+  let r = advise_result c (job ~id:"ok" ()) in
+  Alcotest.(check string) "valid job still answered" "ok" r.r_id;
+  Alcotest.(check int) "only the valid job ran" (jobs_before + 1) (jobs ())
+
 let test_expired_deadline_rejected () =
   with_server "dl" @@ fun sock ->
   let c = Serve.Client.connect sock in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-  match Serve.Client.advise c (job ~id:"late" ~deadline:0.0 ()) with
+  (* A zero deadline is an invalid field; one nanosecond is valid and
+     always over by the time a worker pops the job. *)
+  match Serve.Client.advise c (job ~id:"late" ~deadline:1e-9 ()) with
   | Serve.Protocol.Rejected { j_id; reason } ->
       Alcotest.(check string) "id echoed" "late" j_id;
       Alcotest.(check string) "reason" "deadline expired in queue" reason
@@ -435,6 +479,7 @@ let suite =
       test_backpressure_and_shutdown_rejects;
     Alcotest.test_case "end-to-end memo and warm" `Quick test_end_to_end_memo_and_warm;
     Alcotest.test_case "solver failure replied" `Quick test_solver_failure_is_replied;
+    Alcotest.test_case "invalid fields failed" `Quick test_invalid_fields_failed;
     Alcotest.test_case "expired deadline rejected" `Quick test_expired_deadline_rejected;
     Alcotest.test_case "survives client disconnect" `Quick test_survives_client_disconnect;
   ]

@@ -278,7 +278,7 @@ let test_advisor_end_to_end_strategies () =
         Advisor.run (Prng.create 61) ec2 (advisor_config strategy Cost.Longest_link)
       in
       Alcotest.(check bool)
-        (Advisor.strategy_to_string strategy ^ " valid plan")
+        (Solver.name strategy ^ " valid plan")
         true
         (Types.is_valid report.Advisor.problem report.Advisor.plan);
       Alcotest.(check int) "allocation size" 8 (Cloudsim.Env.count report.Advisor.env);
@@ -287,10 +287,10 @@ let test_advisor_end_to_end_strategies () =
         (Cost.improvement ~default:report.Advisor.default_cost
            ~optimized:report.Advisor.cost))
     [
-      Advisor.Greedy_g1;
-      Advisor.Greedy_g2;
-      Advisor.Random_r1 200;
-      Advisor.Cp { cp_exact with Cp_solver.time_limit = 5.0 };
+      Solver.Greedy_g1;
+      Solver.Greedy_g2;
+      Solver.Random_r1 200;
+      Solver.Cp { cp_exact with Cp_solver.time_limit = 5.0 };
     ]
 
 let test_advisor_exact_strategies_beat_default () =
@@ -298,7 +298,7 @@ let test_advisor_exact_strategies_beat_default () =
      be worse than the default plan under that objective. *)
   let report =
     Advisor.run (Prng.create 62) ec2
-      (advisor_config (Advisor.Cp { cp_exact with Cp_solver.time_limit = 5.0 })
+      (advisor_config (Solver.Cp { cp_exact with Cp_solver.time_limit = 5.0 })
          Cost.Longest_link)
   in
   Alcotest.(check bool) "CP <= default" true
@@ -312,7 +312,7 @@ let test_advisor_longest_path_mip () =
       metric = Metrics.Mean;
       over_allocation = 0.4;
       samples_per_pair = 10;
-      strategy = Advisor.Mip { mip_opts with Mip_solver.time_limit = 10.0 };
+      strategy = Solver.Mip { mip_opts with Mip_solver.time_limit = 10.0 };
     }
   in
   let report = Advisor.run (Prng.create 63) ec2 config in
@@ -325,19 +325,19 @@ let test_advisor_rejects_cp_for_longest_path () =
      objective mismatch is what gets exercised. *)
   let config =
     {
-      (advisor_config (Advisor.Cp cp_exact) Cost.Longest_path) with
+      (advisor_config (Solver.Cp cp_exact) Cost.Longest_path) with
       Advisor.graph = Graphs.Templates.aggregation_tree ~fanout:2 ~depth:2;
     }
   in
   Alcotest.check_raises "cp + longest path"
-    (Invalid_argument "Advisor: the CP strategy only supports the longest-link objective")
+    (Invalid_argument "Solver.run: CP does not support the longest-path objective")
     (fun () -> ignore (Advisor.run (Prng.create 64) ec2 config))
 
 let test_advisor_lint_gate_rejects_cyclic_lpndp () =
   (* mesh2d is cyclic: the longest-path objective on it must be caught by
      the lint gate (GRF005) before any solver runs, not surface as an
      exception deep inside Cost. *)
-  let config = advisor_config Advisor.Greedy_g2 Cost.Longest_path in
+  let config = advisor_config Solver.Greedy_g2 Cost.Longest_path in
   match Advisor.run (Prng.create 64) ec2 config with
   | exception Lint.Diagnostic.Failed ds ->
       Alcotest.(check bool) "GRF005 reported" true
@@ -345,7 +345,7 @@ let test_advisor_lint_gate_rejects_cyclic_lpndp () =
   | _ -> Alcotest.fail "expected Lint.Diagnostic.Failed"
 
 let test_advisor_measurement_time_scales () =
-  let r1 = Advisor.run (Prng.create 65) ec2 (advisor_config Advisor.Greedy_g2 Cost.Longest_link) in
+  let r1 = Advisor.run (Prng.create 65) ec2 (advisor_config Solver.Greedy_g2 Cost.Longest_link) in
   Alcotest.(check bool) "measurement minutes positive" true
     (r1.Advisor.measurement_minutes > 0.0)
 
