@@ -157,6 +157,16 @@ let test_sort_and_json () =
        (Lint.Diagnostic.to_json
           [ Lint.Diagnostic.make Lint.Diagnostic.Info ~code:"Q" ~context:"c" {|say "hi"|} ]))
 
+let test_json_bytes () =
+  let d =
+    Lint.Diagnostic.make Lint.Diagnostic.Warning ~code:"LAT004" ~context:"costs[1][2]"
+      "say \"hi\"\tthen leave"
+  in
+  Alcotest.(check string) "exact bytes"
+    {|[{"severity":"warning","code":"LAT004","context":"costs[1][2]","message":"say \"hi\"\tthen leave"}]|}
+    (Lint.Diagnostic.to_json [ d ]);
+  Alcotest.(check string) "empty list" "[]" (Lint.Diagnostic.to_json [])
+
 (* ---------------- source rules (repolint engine) ---------------- *)
 
 let scan path text = Lint.Source_rules.scan_file ~path text
@@ -305,6 +315,7 @@ let suite =
     Alcotest.test_case "config checks" `Quick test_config_checks;
     Alcotest.test_case "check strictness" `Quick test_check_raises_and_strict;
     Alcotest.test_case "sort and json" `Quick test_sort_and_json;
+    Alcotest.test_case "json exact bytes" `Quick test_json_bytes;
     Alcotest.test_case "migrated rules not token-scanned" `Quick
       test_migrated_rules_not_token_scanned;
     Alcotest.test_case "R003 obj magic" `Quick test_r003_obj_magic;

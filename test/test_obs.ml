@@ -365,6 +365,107 @@ let test_jsonl_lines_parse () =
       | exception Bad_json msg -> Alcotest.failf "invalid JSONL line %S: %s" line msg)
     lines
 
+(* Exporter bytes, pinned: a hand-built event list (fixed timestamps and
+   domains) covering every payload kind, a name that needs escaping, a NaN
+   cost and every aggregate kind, diffed against committed files. Only the
+   export-time "ts_ns"/"domain" stamp on the JSONL header and aggregate
+   lines varies between runs; it is masked. Chrome output is compared
+   whole. *)
+let golden_events () =
+  let ev t_ns domain payload = { Obs.Event.t_ns; domain; payload } in
+  let odd = "dive \"quoted\"\n\001" in
+  [
+    ev 1_000L 0 (Obs.Event.Span_begin "search");
+    ev 1_500L 0 (Obs.Event.Span_begin odd);
+    ev 2_750L 0 (Obs.Event.Span_end odd);
+    ev 3_000L 1 (Obs.Event.Incumbent { stream = "cp"; cost = 4.5 });
+    ev 3_250L 1 (Obs.Event.Incumbent { stream = "cp"; cost = Float.nan });
+    ev 4_000L 0 (Obs.Event.Mark "unsat");
+    ev 4_500L 0
+      (Obs.Event.Gc_delta
+         {
+           span = "search";
+           minor_words = 1234.0;
+           major_words = 0.5;
+           promoted_words = 7.0;
+           heap_words = 64;
+           compactions = 0;
+         });
+    ev 5_000L 0 (Obs.Event.Span_end "search");
+  ]
+
+let golden_export
+    (export :
+      ?run:Obs.Export.run ->
+      ?counters:(string * int) list ->
+      ?gauges:(string * float) list ->
+      ?hists:Obs.Histogram.snapshot list ->
+      out_channel ->
+      Obs.Event.t list ->
+      unit) =
+  let h = Obs.Histogram.create "test.obs.golden" in
+  List.iter (Obs.Histogram.record h) [ 1.0; 2.0; 3.0; 0.0 ];
+  export_to_string
+    (export
+       ~run:{ Obs.Export.seed = Some 7; argv = [ "advise"; "--note"; "a\tb" ] }
+       ~counters:[ ("k", 3) ]
+       ~gauges:[ ("g", 0.1) ]
+       ~hists:[ Obs.Histogram.snapshot_of h ])
+    (golden_events ())
+
+(* Replace the digits after "ts_ns": and "domain": on the header and
+   aggregate lines with "N". *)
+let mask_export_stamp line =
+  let starts prefix = String.starts_with ~prefix line in
+  if
+    not
+      (List.exists
+         (fun ty -> starts (Printf.sprintf "{\"type\":\"%s\"" ty))
+         [ "header"; "counter"; "gauge"; "hist" ])
+  then line
+  else
+    let b = Buffer.create (String.length line) in
+    let n = String.length line in
+    let rec go i =
+      if i < n then
+        let key k =
+          let m = String.length k in
+          i + m <= n && String.sub line i m = k
+        in
+        match List.find_opt key [ "\"ts_ns\":"; "\"domain\":" ] with
+        | Some k ->
+            Buffer.add_string b k;
+            Buffer.add_char b 'N';
+            let j = ref (i + String.length k) in
+            while !j < n && (match line.[!j] with '0' .. '9' | '-' -> true | _ -> false) do
+              incr j
+            done;
+            go !j
+        | None ->
+            Buffer.add_char b line.[i];
+            go (i + 1)
+    in
+    go 0;
+    Buffer.contents b
+
+let golden_file name =
+  let path =
+    List.find_opt Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  in
+  In_channel.with_open_text (Option.value path ~default:name) In_channel.input_all
+
+let test_exporters_match_golden () =
+  let jsonl =
+    golden_export Obs.Export.jsonl
+    |> String.split_on_char '\n'
+    |> List.map mask_export_stamp
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "jsonl bytes" (golden_file "obs-export.jsonl") jsonl;
+  Alcotest.(check string) "chrome bytes" (golden_file "obs-export.chrome.json")
+    (golden_export Obs.Export.chrome)
+
 let test_summary_renders () =
   let events = sample_events () in
   let out =
@@ -625,6 +726,7 @@ let suite =
     Alcotest.test_case "chrome trace well-formed" `Quick test_chrome_trace_well_formed;
     Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
     Alcotest.test_case "summary renders" `Quick test_summary_renders;
+    Alcotest.test_case "exporters match golden bytes" `Quick test_exporters_match_golden;
     Alcotest.test_case "ring drops newest" `Quick test_ring_drop_newest;
     Alcotest.test_case "histogram edge values" `Quick test_histogram_edge_values;
     Alcotest.test_case "histogram concurrent recording" `Quick
