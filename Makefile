@@ -5,7 +5,7 @@
 OPAM_DEPS = dune alcotest qcheck qcheck-alcotest cmdliner bechamel
 OCAMLFORMAT = ocamlformat.0.26.2
 
-.PHONY: deps deps-fmt build test bench-smoke bench-gate lint analyze fmt
+.PHONY: deps deps-fmt build test bench-smoke bench-gate lint fmt
 
 deps:
 	opam install --yes $(OPAM_DEPS)
@@ -29,13 +29,9 @@ bench-smoke:
 bench-gate: bench-smoke
 	dune exec tools/bench_gate/bench_gate.exe -- bench/baseline.json bench-metrics.json
 
-# Both static gates: the token scanner (R003-R005) and the AST analyzer
-# (A001-A004 over lib/ bin/ bench/). CI runs the same two commands.
+# The source-lint gate: the AST analyzer (passes A001-A007 over lib/
+# bin/ bench/). CI's analyze job runs the same command.
 lint:
-	dune exec tools/repolint/repolint.exe
-	dune exec tools/analyzer/analyzer_main.exe
-
-analyze:
 	dune exec tools/analyzer/analyzer_main.exe
 
 fmt:

@@ -37,7 +37,7 @@ let write_csv name headers rows =
 (* Machine-readable metrics: sections record named scalars (moves/sec,
    allocation rates, kernel timings) and the driver flushes them as one
    flat JSON object to the path in CLOUDIA_BENCH_JSON — the input of the
-   CI perf-regression gate (tools/check_bench.py). *)
+   CI perf-regression gate (tools/bench_gate). *)
 let metrics : (string, float) Hashtbl.t = Hashtbl.create 32
 
 let metric name value = Hashtbl.replace metrics name value
@@ -49,14 +49,12 @@ let flush_metrics () =
       let entries =
         List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) metrics [])
       in
+      (* One key per line keeps baseline diffs readable. Json.of_float
+         writes %.17g (every float exact) and null for NaN/inf, which
+         bench_gate treats as a missing metric. *)
       let field (k, v) =
-        (* %.17g keeps every float exact; JSON has no NaN/inf literals, so
-           encode those as null (check_bench treats null as missing). *)
-        let value =
-          if Float.is_nan v || Float.abs v = Float.infinity then "null"
-          else Printf.sprintf "%.17g" v
-        in
-        Printf.sprintf "  %S: %s" k value
+        Printf.sprintf "  %s: %s" (Obs.Json.to_string (Obs.Json.Str k))
+          (Obs.Json.to_string (Obs.Json.of_float v))
       in
       Out_channel.with_open_text path (fun oc ->
           output_string oc "{\n";

@@ -39,120 +39,90 @@ let provider_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (runs are deterministic per seed).")
 
-(* ---- JSON emission for --json (no external JSON dependency) ---- *)
+(* ---- JSON for --json, built as Obs.Json values ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Report numbers: %.6g keeps the advise report readable; NaN and the
+   infinities, which JSON cannot spell, become null. *)
+let num6 f = if Float.is_finite f then Obs.Json.Num (Printf.sprintf "%.6g" f) else Obs.Json.Null
 
-let json_str s = "\"" ^ json_escape s ^ "\""
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-let json_int = string_of_int
-let json_bool b = if b then "true" else "false"
-let json_list items = "[" ^ String.concat "," items ^ "]"
+(* Full %.17g precision: two runs producing bit-identical float64 costs
+   produce byte-identical reports, which is what the CI equivalence gate
+   diffs. *)
+let num17 f =
+  if Float.is_nan f then Obs.Json.Str "nan" else Obs.Json.Num (Printf.sprintf "%.17g" f)
 
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields) ^ "}"
+let ints l = Obs.Json.Arr (List.map Obs.Json.of_int l)
 
-let solver_stats_json = function
-  | Cloudia.Solver.No_stats -> json_obj [ ("kind", json_str "none") ]
+let solver_stats_json stats =
+  let open Obs.Json in
+  let kind k fields = Obj (("kind", Str k) :: List.map (fun (n, v) -> (n, of_int v)) fields) in
+  match stats with
+  | Cloudia.Solver.No_stats -> kind "none" []
   | Cloudia.Solver.Cp_stats { iterations; nodes; failures; propagations } ->
-      json_obj
+      kind "cp"
         [
-          ("kind", json_str "cp");
-          ("iterations", json_int iterations);
-          ("nodes", json_int nodes);
-          ("failures", json_int failures);
-          ("propagations", json_int propagations);
+          ("iterations", iterations);
+          ("nodes", nodes);
+          ("failures", failures);
+          ("propagations", propagations);
         ]
   | Cloudia.Solver.Mip_stats { nodes_explored; nodes_pruned } ->
-      json_obj
-        [
-          ("kind", json_str "mip");
-          ("nodes_explored", json_int nodes_explored);
-          ("nodes_pruned", json_int nodes_pruned);
-        ]
+      kind "mip" [ ("nodes_explored", nodes_explored); ("nodes_pruned", nodes_pruned) ]
   | Cloudia.Solver.Anneal_stats { moves_tried; moves_accepted } ->
-      json_obj
-        [
-          ("kind", json_str "anneal");
-          ("moves_tried", json_int moves_tried);
-          ("moves_accepted", json_int moves_accepted);
-        ]
-  | Cloudia.Solver.Random_stats { trials } ->
-      json_obj [ ("kind", json_str "random"); ("trials", json_int trials) ]
+      kind "anneal" [ ("moves_tried", moves_tried); ("moves_accepted", moves_accepted) ]
+  | Cloudia.Solver.Random_stats { trials } -> kind "random" [ ("trials", trials) ]
 
 let telemetry_json (t : Cloudia.Advisor.telemetry) =
-  json_obj
+  let open Obs.Json in
+  Obj
     [
-      ("strategy", json_str t.Cloudia.Advisor.strategy_name);
+      ("strategy", Str t.Cloudia.Advisor.strategy_name);
       ("solver", solver_stats_json t.Cloudia.Advisor.solver);
       ( "proven_optimal",
-        json_bool (t.Cloudia.Advisor.stop_reason = Cloudia.Solver.Proven_optimal) );
+        Bool (t.Cloudia.Advisor.stop_reason = Cloudia.Solver.Proven_optimal) );
       ( "incumbent_trace",
-        json_list
-          (List.map
-             (fun (s, c) -> json_list [ json_float s; json_float c ])
-             t.Cloudia.Advisor.incumbent_trace) );
-      ( "winner",
-        match t.Cloudia.Advisor.winner with Some w -> json_str w | None -> "null" );
+        Arr (List.map (fun (s, c) -> Arr [ num6 s; num6 c ]) t.Cloudia.Advisor.incumbent_trace)
+      );
+      ("winner", match t.Cloudia.Advisor.winner with Some w -> Str w | None -> Null);
       ( "members",
-        json_list
+        Arr
           (List.map
              (fun (m : Cloudia.Solver.member) ->
-               json_obj
+               Obj
                  [
-                   ("name", json_str m.member_name);
-                   ("best_cost", json_float m.member_cost);
-                   ("time_to_best", json_float m.time_to_best);
-                   ("seconds", json_float m.seconds);
-                   ("iterations", json_int m.iterations);
-                   ("proved_optimal", json_bool m.proved_optimal);
+                   ("name", Str m.member_name);
+                   ("best_cost", num6 m.member_cost);
+                   ("time_to_best", num6 m.time_to_best);
+                   ("seconds", num6 m.seconds);
+                   ("iterations", of_int m.iterations);
+                   ("proved_optimal", Bool m.proved_optimal);
                  ])
              t.Cloudia.Advisor.members) );
-      ( "counters",
-        json_obj
-          (List.map (fun (n, v) -> (n, json_int v)) t.Cloudia.Advisor.counters) );
+      ("counters", Obj (List.map (fun (n, v) -> (n, of_int v)) t.Cloudia.Advisor.counters));
     ]
-
-let diagnostics_json ds = Lint.Diagnostic.to_json ds
 
 let report_json ~describe ~objective (r : Cloudia.Advisor.report) =
-  json_obj
+  let open Obs.Json in
+  Obj
     [
-      ("workload", json_str describe);
-      ("diagnostics", diagnostics_json r.Cloudia.Advisor.diagnostics);
-      ("objective", json_str (Cloudia.Cost.objective_to_string objective));
-      ("instances_allocated", json_int (Cloudsim.Env.count r.Cloudia.Advisor.env));
-      ("measurement_minutes", json_float r.Cloudia.Advisor.measurement_minutes);
-      ("search_seconds", json_float r.Cloudia.Advisor.search_seconds);
-      ("default_cost_ms", json_float r.Cloudia.Advisor.default_cost);
-      ("optimized_cost_ms", json_float r.Cloudia.Advisor.cost);
-      ("improvement_pct", json_float r.Cloudia.Advisor.improvement_pct);
-      ( "plan",
-        json_list
-          (Array.to_list (Array.map json_int r.Cloudia.Advisor.plan)) );
-      ( "default_plan",
-        json_list
-          (Array.to_list (Array.map json_int r.Cloudia.Advisor.default_plan)) );
-      ( "terminated",
-        json_list (List.map json_int r.Cloudia.Advisor.terminated) );
-      ( "dropped",
-        json_list (List.map json_int r.Cloudia.Advisor.dropped) );
-      ("measurement_coverage", json_float r.Cloudia.Advisor.measurement_coverage);
+      ("workload", Str describe);
+      ("diagnostics", Lint.Diagnostic.json r.Cloudia.Advisor.diagnostics);
+      ("objective", Str (Cloudia.Cost.objective_to_string objective));
+      ("instances_allocated", of_int (Cloudsim.Env.count r.Cloudia.Advisor.env));
+      ("measurement_minutes", num6 r.Cloudia.Advisor.measurement_minutes);
+      ("search_seconds", num6 r.Cloudia.Advisor.search_seconds);
+      ("default_cost_ms", num6 r.Cloudia.Advisor.default_cost);
+      ("optimized_cost_ms", num6 r.Cloudia.Advisor.cost);
+      ("improvement_pct", num6 r.Cloudia.Advisor.improvement_pct);
+      ("plan", ints (Array.to_list r.Cloudia.Advisor.plan));
+      ("default_plan", ints (Array.to_list r.Cloudia.Advisor.default_plan));
+      ("terminated", ints r.Cloudia.Advisor.terminated);
+      ("dropped", ints r.Cloudia.Advisor.dropped);
+      ("measurement_coverage", num6 r.Cloudia.Advisor.measurement_coverage);
       ("telemetry", telemetry_json r.Cloudia.Advisor.telemetry);
     ]
+
+let print_json v = print_endline (Obs.Json.to_string v)
 
 (* ---- tracing plumbing shared by advise ---- *)
 
@@ -171,7 +141,8 @@ let export_observability ?seed ~trace_file ~trace_format ~obs_summary () =
       List.filter (fun (h : Obs.Histogram.snapshot) -> h.hist_count > 0)
         (Obs.Histogram.snapshot ())
     in
-    let run = { Obs.Export.seed; argv = List.tl (Array.to_list Sys.argv) } in
+    let argv = List.tl (Array.to_list Sys.argv) in
+    let run = { Obs.Export.seed; argv } in
     (match trace_file with
     | Some file ->
         Out_channel.with_open_text file (fun oc ->
@@ -180,7 +151,14 @@ let export_observability ?seed ~trace_file ~trace_format ~obs_summary () =
             | Chrome -> Obs.Export.chrome ~run ~counters ~gauges ~hists oc events)
     | None -> ());
     if obs_summary then
-      Obs.Export.summary ~run ~counters ~gauges ~hists stderr events
+      Obs.Trace.report stderr
+        {
+          Obs.Trace.header = Some { schema = Obs.Export.schema_version; seed; argv };
+          events;
+          counters;
+          gauges;
+          hists;
+        }
   end
 
 (* ---- advise ---- *)
@@ -331,7 +309,7 @@ let advise provider seed workload strategy_name scale over metric time_limit dom
              stderr so stdout stays machine-readable. *)
           if not json then
             Format.eprintf "%a" Lint.Diagnostic.render report.Cloudia.Advisor.diagnostics;
-          if json then print_endline (report_json ~describe ~objective report)
+          if json then print_json (report_json ~describe ~objective report)
           else begin
             let telemetry = report.Cloudia.Advisor.telemetry in
             Printf.printf "workload            : %s\n" describe;
@@ -429,7 +407,9 @@ let advise_cmd =
   in
   let obs_summary_arg =
     Arg.(value & flag & info [ "obs-summary" ]
-           ~doc:"Print a per-domain span tree, incumbent streams and counter totals to stderr.")
+           ~doc:
+             "Print the run's trace report to stderr, as $(b,obs report) would: per-domain \
+              span tree with self times, histograms, time-to-quality, counters and gauges.")
   in
   let strict_lint_arg =
     Arg.(value & flag & info [ "strict-lint" ]
@@ -572,26 +552,20 @@ let plan_cmd_run seed costs_file graph_spec objective_name strategy_name time_li
               let default_cost = Cloudia.Cost.eval objective problem default in
               let unused = Cloudia.Types.unused_instances problem plan in
               if json then begin
-                (* Full %.17g precision: two runs producing bit-identical
-                   float64 costs produce byte-identical reports, which is
-                   what the CI equivalence gate diffs. *)
-                let exact f =
-                  if Float.is_nan f then json_str "nan" else Printf.sprintf "%.17g" f
-                in
-                print_endline
-                  (json_obj
+                print_json
+                  (Obs.Json.Obj
                      [
-                       ("instances", json_int (Cloudia.Types.instance_count problem));
-                       ("nodes", json_int (Cloudia.Types.node_count problem));
-                       ("objective", json_str (Cloudia.Cost.objective_to_string objective));
-                       ("seed", json_int seed);
-                       ("default_cost_ms", exact default_cost);
-                       ("optimized_cost_ms", exact cost);
+                       ("instances", Obs.Json.of_int (Cloudia.Types.instance_count problem));
+                       ("nodes", Obs.Json.of_int (Cloudia.Types.node_count problem));
+                       ("objective", Obs.Json.Str (Cloudia.Cost.objective_to_string objective));
+                       ("seed", Obs.Json.of_int seed);
+                       ("default_cost_ms", num17 default_cost);
+                       ("optimized_cost_ms", num17 cost);
                        ( "improvement_pct",
-                         exact (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
+                         num17 (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
                        );
-                       ("plan", json_list (Array.to_list plan |> List.map json_int));
-                       ("terminate", json_list (List.map json_int unused));
+                       ("plan", ints (Array.to_list plan));
+                       ("terminate", ints unused);
                      ])
               end
               else begin
@@ -715,7 +689,7 @@ let lint_run costs_file graph_spec graph_file objective_name time_limit domains 
         Lint.Instance.check_config ?time_limit ?domains ?pool ()
       in
       let diagnostics = matrix_diags @ graph_diags @ config_diags in
-      if json then print_endline (diagnostics_json diagnostics)
+      if json then print_endline (Lint.Diagnostic.to_json diagnostics)
       else begin
         Format.printf "%a" Lint.Diagnostic.render diagnostics;
         Printf.printf "lint: %d error(s), %d warning(s), %d info(s)\n"
@@ -1020,23 +994,23 @@ let serve socket domains queue_capacity cache_capacity default_deadline =
          stdout — what the CI smoke job validates after SIGTERM. *)
       let s = Serve.Server.latency_snapshot () in
       let q p =
-        if s.Obs.Histogram.hist_count = 0 then "null"
-        else json_float (Obs.Histogram.quantile_of s p)
+        if s.Obs.Histogram.hist_count = 0 then Obs.Json.Null
+        else num6 (Obs.Histogram.quantile_of s p)
       in
       let counters =
         List.filter
           (fun (k, _) -> String.starts_with ~prefix:"serve." k)
           (Obs.Counter.snapshot ())
       in
-      print_endline
-        (json_obj
+      print_json
+        (Obs.Json.Obj
            ([
-              ("requests", json_int s.Obs.Histogram.hist_count);
+              ("requests", Obs.Json.of_int s.Obs.Histogram.hist_count);
               ("p50_ms", q 0.5);
               ("p99_ms", q 0.99);
               ("p999_ms", q 0.999);
             ]
-           @ List.map (fun (k, v) -> (k, json_int v)) counters));
+           @ List.map (fun (k, v) -> (k, Obs.Json.of_int v)) counters));
       0
 
 let socket_arg =
@@ -1117,8 +1091,8 @@ let client_ping socket wait_s =
 
 let client_stats socket wait_s =
   with_client socket wait_s (fun c ->
-      print_endline
-        (json_obj (List.map (fun (k, v) -> (k, json_int v)) (Serve.Client.stats c)));
+      print_json
+        (Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.of_int v)) (Serve.Client.stats c)));
       0)
 
 let client_advise socket wait_s costs_file graph_spec solver_name objective_name seed
@@ -1163,7 +1137,7 @@ let client_advise socket wait_s costs_file graph_spec solver_name objective_name
             (match reply with
             | Serve.Protocol.Result _ -> ()
             | _ -> incr failures);
-            print_endline (Obs.Json.to_string (Serve.Protocol.json_of_reply reply))
+            print_json (Serve.Protocol.json_of_reply reply)
           done;
           if !failures > 0 then 1 else 0)
 

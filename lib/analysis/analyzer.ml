@@ -10,15 +10,9 @@ let builtin_passes () =
   ignore Pass_determinism.pass;
   ignore Pass_alloc.pass;
   ignore Pass_matrix.pass;
+  ignore Pass_banned.magic;
+  ignore Pass_interface.pass;
   Registry.all ()
-
-let normalize path =
-  let path =
-    if String.length path > 2 && String.sub path 0 2 = "./" then
-      String.sub path 2 (String.length path - 2)
-    else path
-  in
-  String.map (fun c -> if c = '\\' then '/' else c) path
 
 let parse_implementation ~path text =
   let lexbuf = Lexing.from_string text in
@@ -30,12 +24,20 @@ let parse_implementation ~path text =
          stopped rather than dying. *)
       Error lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum
 
-(* Raw findings for one source, before any suppression. *)
+(* Raw findings of the per-file passes for one source, before any
+   suppression. Interfaces are not parsed: only tree passes see them. *)
 let check_source ?passes ~path text =
   let passes = match passes with Some ps -> ps | None -> builtin_passes () in
-  let path = normalize path in
-  let applicable = List.filter (fun p -> p.Registry.applies path) passes in
-  if applicable = [] then []
+  let path = Repo_path.normalize path in
+  let applicable =
+    List.filter_map
+      (fun p ->
+        match p.Registry.check with
+        | Registry.File check when p.Registry.applies path -> Some check
+        | _ -> None)
+      passes
+  in
+  if applicable = [] || not (Filename.check_suffix path ".ml") then []
   else
     match parse_implementation ~path text with
     | Error line ->
@@ -46,7 +48,7 @@ let check_source ?passes ~path text =
         ]
     | Ok str ->
         Finding.sort
-          (List.concat_map (fun p -> p.Registry.check ~path str) applicable)
+          (List.concat_map (fun check -> check ~path str) applicable)
 
 (* One file: raw findings minus inline suppressions. *)
 let analyze_source ?passes ~path text =
@@ -60,30 +62,53 @@ type report = {
       (** inline-suppressed + allowlisted + baselined, for accounting *)
 }
 
-let partition_allowed allows findings =
-  let has_prefix prefix path =
-    String.length path >= String.length prefix
-    && String.sub path 0 (String.length prefix) = prefix
-  in
-  List.partition
-    (fun (f : Finding.t) ->
-      not
-        (List.exists
-           (fun a ->
-             a.Lint.Source_rules.allow_rule = f.Finding.pass
-             && has_prefix a.Lint.Source_rules.allow_prefix f.Finding.path)
-           allows))
-    findings
+(* ---- allowlist: one "PASS path-prefix" entry per line ---- *)
+
+type allow = { allow_pass : string; allow_prefix : string }
+
+let parse_allowlist text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.index_opt line ' ' with
+           | None -> None
+           | Some i ->
+               Some
+                 {
+                   allow_pass = String.sub line 0 i;
+                   allow_prefix =
+                     Repo_path.normalize
+                       (String.trim (String.sub line (i + 1) (String.length line - i - 1)));
+                 })
+
+let allowed allows (f : Finding.t) =
+  List.exists
+    (fun a -> a.allow_pass = f.Finding.pass && Repo_path.under [ a.allow_prefix ] f.Finding.path)
+    allows
+
+(* Tree passes see every applicable path; their findings have no source
+   line to carry an inline suppression. *)
+let check_tree passes paths =
+  List.concat_map
+    (fun p ->
+      match p.Registry.check with
+      | Registry.Tree check -> check ~paths:(List.filter p.Registry.applies paths)
+      | Registry.File _ -> [])
+    passes
 
 let run ?passes ?(allow = []) ?(baseline = Baseline.empty) files =
+  let passes = match passes with Some ps -> ps | None -> builtin_passes () in
   let kept, suppressed =
     List.fold_left
       (fun (kept, supp) (path, text) ->
-        let k, s = analyze_source ?passes ~path text in
+        let k, s = analyze_source ~passes ~path text in
         (k @ kept, s @ supp))
       ([], []) files
   in
-  let kept, allowed = partition_allowed allow kept in
+  let tree = check_tree passes (List.map (fun (path, _) -> Repo_path.normalize path) files) in
+  let allowed, kept = List.partition (allowed allow) (tree @ kept) in
   let kept, baselined = Baseline.filter baseline kept in
   {
     files = List.length files;
@@ -105,7 +130,7 @@ let rec walk dir =
           let p = Filename.concat dir entry in
           if Sys.is_directory p then
             if entry = "_build" || entry.[0] = '.' then acc else acc @ walk p
-          else if Filename.check_suffix p ".ml" then acc @ [ p ]
+          else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli" then acc @ [ p ]
           else acc)
         [] entries
 
@@ -114,12 +139,9 @@ let read_file path = In_channel.with_open_text path In_channel.input_all
 let load_tree ~root roots =
   let relative path =
     let prefix = root ^ "/" in
-    let path = normalize path in
-    if root = "." then path
-    else if
-      String.length path > String.length prefix
-      && String.sub path 0 (String.length prefix) = prefix
-    then String.sub path (String.length prefix) (String.length path - String.length prefix)
+    let path = Repo_path.normalize path in
+    if root <> "." && String.starts_with ~prefix path then
+      String.sub path (String.length prefix) (String.length path - String.length prefix)
     else path
   in
   List.concat_map

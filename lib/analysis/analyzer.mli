@@ -4,12 +4,13 @@
     returns data; [tools/analyzer] prints and sets the exit code.
 
     Files that fail to parse yield a single [A000] finding (the build
-    would reject them too); the token-scanner rules that need no parse
-    (R003–R005) stay in {!Lint.Source_rules}. *)
+    would reject them too). This is the repository's one source-lint
+    engine; {!Lint.Instance} checks solver inputs, not source. *)
 
 val builtin_passes : unit -> Registry.pass list
 (** All built-in passes (A001 domain-safety, A002 determinism, A003
-    hot-path allocation, A004 matrix representation), forcing their
+    hot-path allocation, A004 matrix representation, A005 [Obj.magic],
+    A006 console output in [lib/], A007 missing [.mli]), forcing their
     registration. *)
 
 val parse_implementation :
@@ -18,7 +19,8 @@ val parse_implementation :
 
 val check_source :
   ?passes:Registry.pass list -> path:string -> string -> Finding.t list
-(** Raw findings for one source file, before any suppression. *)
+(** Raw findings of the {!Registry.File} passes for one [.ml] file,
+    before any suppression; [[]] for other paths. *)
 
 val analyze_source :
   ?passes:Registry.pass list ->
@@ -33,21 +35,30 @@ type report = {
   suppressed : Finding.t list;
 }
 
+type allow = { allow_pass : string; allow_prefix : string }
+(** One allowlist entry: [allow_pass] findings under [allow_prefix] are
+    suppressed. *)
+
+val parse_allowlist : string -> allow list
+(** One [PASS path-prefix] entry per line; [#] starts a comment line;
+    blank lines are ignored. *)
+
 val run :
   ?passes:Registry.pass list ->
-  ?allow:Lint.Source_rules.allow list ->
+  ?allow:allow list ->
   ?baseline:Baseline.t ->
   (string * string) list ->
   report
-(** Analyze [(path, contents)] pairs; findings surviving inline
-    suppressions are further filtered by the allowlist (same
-    [RULE path-prefix] format as repolint) and the baseline. *)
+(** Analyze [(path, contents)] pairs: file passes on each [.ml], tree
+    passes on the whole path set ([.mli] paths included). Findings
+    surviving inline suppressions are further filtered by the allowlist
+    and the baseline. *)
 
 val walk : string -> string list
-(** Recursively list [.ml] files under a directory, sorted at every
-    level ([_build] and dot-directories skipped) — byte-stable output
-    across machines. *)
+(** Recursively list [.ml] and [.mli] files under a directory, sorted at
+    every level ([_build] and dot-directories skipped) — byte-stable
+    output across machines. *)
 
 val load_tree : root:string -> string list -> (string * string) list
-(** Read every [.ml] file under [roots] (relative to [root]), returning
-    repository-relative paths with their contents. *)
+(** Read every [.ml] and [.mli] file under [roots] (relative to [root]),
+    returning repository-relative paths with their contents. *)

@@ -1,8 +1,7 @@
 (** A single analyzer finding: one pass, one location, one message.
 
-    Findings are the analyzer-side analogue of {!Lint.Source_rules.violation}
-    — produced by AST passes rather than token scans — and render into the
-    same {!Lint.Diagnostic.t} pipeline for human and JSON output. *)
+    Findings render into the {!Lint.Diagnostic.t} pipeline the instance
+    linter uses, for human and JSON output. *)
 
 type t = {
   pass : string;  (** pass id, e.g. ["A001"] *)

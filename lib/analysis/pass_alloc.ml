@@ -141,7 +141,7 @@ let pass =
       "hot-path allocation: [@cloudia.hot] functions must not allocate \
        closures, tuples, records, or constructor blocks inside loop bodies";
     applies = (fun _ -> true);
-    check;
+    check = File check;
   }
 
 let () = Registry.register pass

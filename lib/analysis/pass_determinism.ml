@@ -21,17 +21,9 @@
 
 open Parsetree
 
-let has_prefix prefix path =
-  String.length path >= String.length prefix
-  && String.sub path 0 (String.length prefix) = prefix
-
-let clock_exempt path = has_prefix "lib/obs/" path || has_prefix "bench/" path
-let random_exempt path = has_prefix "lib/prng/" path
-
-let solver_lib path =
-  List.exists
-    (fun p -> has_prefix p path)
-    [ "lib/cloudia/"; "lib/cp/"; "lib/lp/"; "lib/stats/" ]
+let clock_exempt = Repo_path.under [ "lib/obs/"; "bench/" ]
+let random_exempt = Repo_path.under [ "lib/prng/" ]
+let solver_lib = Repo_path.under [ "lib/cloudia/"; "lib/cp/"; "lib/lp/"; "lib/stats/" ]
 
 (* Opening any of these makes a bare [compare] monomorphic. *)
 let compare_providers =
@@ -125,7 +117,7 @@ let pass =
     applies =
       (fun path ->
         (not (clock_exempt path)) || (not (random_exempt path)) || solver_lib path);
-    check;
+    check = File check;
   }
 
 let () = Registry.register pass

@@ -213,7 +213,7 @@ let pass =
        syntactically reachable from a Domain.spawn closure must be Atomic, \
        Mutex.protect-guarded, or explicitly allowed";
     applies = (fun _ -> true);
-    check;
+    check = File check;
   }
 
 let () = Registry.register pass

@@ -10,12 +10,7 @@
 
 open Parsetree
 
-let has_prefix prefix path =
-  String.length path >= String.length prefix
-  && String.sub path 0 (String.length prefix) = prefix
-
-let exempt path =
-  has_prefix "lib/lat_matrix/" path || has_prefix "lib/cloudia/matrix_io" path
+let exempt = Repo_path.under [ "lib/lat_matrix/"; "lib/cloudia/matrix_io" ]
 
 let array_access = [ "get"; "set"; "unsafe_get"; "unsafe_set" ]
 
@@ -59,7 +54,7 @@ let pass =
       "matrix representation: boxed costs.(i).(j) indexing outside \
        lib/lat_matrix/ (successor of token rule R006)";
     applies = (fun path -> not (exempt path));
-    check;
+    check = File check;
   }
 
 let () = Registry.register pass

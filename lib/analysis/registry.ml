@@ -1,8 +1,12 @@
+type check =
+  | File of (path:string -> Parsetree.structure -> Finding.t list)
+  | Tree of (paths:string list -> Finding.t list)
+
 type pass = {
   id : string;
   description : string;
   applies : string -> bool;
-  check : path:string -> Parsetree.structure -> Finding.t list;
+  check : check;
 }
 
 let passes : pass list ref = ref []

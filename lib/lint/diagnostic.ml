@@ -43,29 +43,19 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 let render fmt ds =
   List.iter (fun d -> Format.fprintf fmt "%a@." pp d) (sort ds)
 
-(* Hand-rolled JSON, mirroring the CLI's emitter: no external dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json ds =
+let json ds =
   let one d =
-    Printf.sprintf "{\"severity\":\"%s\",\"code\":\"%s\",\"context\":\"%s\",\"message\":\"%s\"}"
-      (severity_to_string d.severity) (json_escape d.code) (json_escape d.context)
-      (json_escape d.message)
+    Obs.Json.Obj
+      [
+        ("severity", Obs.Json.Str (severity_to_string d.severity));
+        ("code", Obs.Json.Str d.code);
+        ("context", Obs.Json.Str d.context);
+        ("message", Obs.Json.Str d.message);
+      ]
   in
-  "[" ^ String.concat "," (List.map one (sort ds)) ^ "]"
+  Obs.Json.Arr (List.map one (sort ds))
+
+let to_json ds = Obs.Json.to_string (json ds)
 
 exception Failed of t list
 

@@ -39,9 +39,12 @@ val pp : Format.formatter -> t -> unit
 val render : Format.formatter -> t list -> unit
 (** One diagnostic per line, sorted most severe first. *)
 
+val json : t list -> Obs.Json.t
+(** A JSON array of [{"severity","code","context","message"}] objects,
+    sorted as {!sort}. *)
+
 val to_json : t list -> string
-(** A JSON array of [{"severity","code","context","message"}] objects, no
-    external dependency. *)
+(** [Obs.Json.to_string (json ds)]. *)
 
 exception Failed of t list
 (** Raised by pre-solve gates when diagnostics block a run. The payload

@@ -12,8 +12,8 @@ val now_s : unit -> float
 (** {!now_ns} in seconds — the drop-in replacement for the
     [Unix.gettimeofday] deadline idiom ([start +. budget] comparisons)
     everywhere outside [lib/obs] and [bench/], where wall-clock jumps
-    would corrupt solver budgets (enforced by [tools/repolint] rule
-    R001). Same caveat: only differences are meaningful. *)
+    would corrupt solver budgets (enforced by the analyzer's pass
+    A002). Same caveat: only differences are meaningful. *)
 
 val ns_to_us : int64 -> float
 val ns_to_ms : int64 -> float

@@ -1,9 +1,11 @@
-(** Trace exporters: JSONL, Chrome [trace_event], and a text summary.
+(** Trace exporters: JSONL and Chrome [trace_event], both written
+    through {!Json}.
 
-    All three consume the event list returned by {!Sink.drain} plus
-    optional {!Counter.snapshot} / {!Gauge.snapshot} /
-    {!Histogram.snapshot} aggregates; none touches global state, so the
-    same drained list can be exported in several formats. *)
+    Both consume the event list returned by {!Sink.drain} plus optional
+    {!Counter.snapshot} / {!Gauge.snapshot} / {!Histogram.snapshot}
+    aggregates; neither touches global state, so the same drained list
+    can be exported in both formats. The text view of a trace is
+    {!Trace.report}. *)
 
 val schema_version : int
 (** Version of the JSONL record layout; bumped whenever a line type
@@ -50,18 +52,3 @@ val chrome :
     count/p50/p90/p99/max. Timestamps are microseconds relative to the
     first event. [run] is accepted for signature uniformity (the format
     has no header slot). *)
-
-val summary :
-  ?run:run ->
-  ?counters:(string * int) list ->
-  ?gauges:(string * float) list ->
-  ?hists:Histogram.snapshot list ->
-  out_channel ->
-  Event.t list ->
-  unit
-(** Human-readable tree: per-domain span hierarchy with call counts and
-    total milliseconds, per-span gc totals, incumbent-stream update
-    counts with final costs, then histogram (count/mean/p50/p90/p99/max),
-    counter, and gauge tables. Unmatched span ends are ignored and
-    still-open spans are closed at the last event, so truncated traces
-    print sensibly. *)

@@ -32,7 +32,6 @@ val parse_opt : string -> t option
     raw, [Null]/[Bool] as literals. *)
 
 val to_string : t -> string
-val escape : string -> string
 
 val of_float : float -> t
 (** [%.17g] (lossless for float64); NaN and infinities become [Null] —

@@ -1,8 +1,9 @@
 (** Hierarchical timed regions.
 
     Nesting is implicit: spans opened while another span of the same
-    domain is still open become its children, which is how the summary
-    tree and the Chrome trace viewer reconstruct the hierarchy. *)
+    domain is still open become its children, which is how
+    {!Trace.span_tree} and the Chrome trace viewer reconstruct the
+    hierarchy. *)
 
 val with_ : string -> (unit -> 'a) -> 'a
 (** [with_ name f] brackets [f ()] in begin/end events; exception-safe

@@ -85,15 +85,12 @@ let test_a002_direct_gettimeofday () =
     (count_pass "A002" (findings "bench/fixture.ml" src))
 
 let test_a002_aliased_unix_token_scanner_misses () =
-  (* The seeded violation the token scanner demonstrably misses: no
-     "Unix.gettimeofday" token appears, only an alias projection. The AST
-     pass resolves [module U = Unix] and still flags it; the token-rule
-     engine sees nothing. *)
+  (* A violation a token scanner misses: no "Unix.gettimeofday" token
+     appears, only an alias projection. The AST pass resolves
+     [module U = Unix] and still flags it. *)
   let src = "module U = Unix\nlet now () = U.gettimeofday ()\n" in
   check_bool "AST pass catches the alias" true
-    (has_pass "A002" (findings "lib/cp/fixture.ml" src));
-  check_int "token scanner reports nothing" 0
-    (List.length (Lint.Source_rules.scan_file ~path:"lib/cp/fixture.ml" src))
+    (has_pass "A002" (findings "lib/cp/fixture.ml" src))
 
 let test_a002_open_unix_bare_call () =
   let src = "open Unix\nlet now () = gettimeofday ()\n" in
@@ -296,13 +293,21 @@ let test_baseline_round_trip () =
 
 let test_run_with_baseline_and_allowlist () =
   let src = "let now () = Unix.gettimeofday ()\n" in
-  let files = [ ("lib/cp/fixture.ml", src); ("lib/lp/fixture.ml", src) ] in
+  (* Each module has its interface, as A007 requires of lib/. *)
+  let files =
+    [
+      ("lib/cp/fixture.ml", src);
+      ("lib/cp/fixture.mli", "");
+      ("lib/lp/fixture.ml", src);
+      ("lib/lp/fixture.mli", "");
+    ]
+  in
   (* Unfiltered: both findings kept. *)
   let r = Analysis.Analyzer.run files in
-  check_int "files" 2 r.Analysis.Analyzer.files;
+  check_int "files" 4 r.Analysis.Analyzer.files;
   check_int "kept" 2 (List.length r.Analysis.Analyzer.kept);
   (* Allowlist takes one, baseline the other. *)
-  let allow = Lint.Source_rules.parse_allowlist "A002 lib/lp/\n" in
+  let allow = Analysis.Analyzer.parse_allowlist "A002 lib/lp/\n" in
   let baseline =
     Analysis.Baseline.of_findings
       (Analysis.Analyzer.check_source ~path:"lib/cp/fixture.ml" src)
@@ -341,7 +346,7 @@ let test_clean_tree_has_zero_findings () =
       let allow =
         let f = Filename.concat root "tools/analyzer/allowlist" in
         if Sys.file_exists f then
-          Lint.Source_rules.parse_allowlist
+          Analysis.Analyzer.parse_allowlist
             (In_channel.with_open_text f In_channel.input_all)
         else []
       in

@@ -1,6 +1,6 @@
 (* Tests for the lint library: instance diagnostics over adversarial
-   matrices / graphs / configs, and the source-rule engine behind
-   tools/repolint exercised on in-memory fixture strings. *)
+   matrices / graphs / configs, and the source rules (analyzer passes
+   A005-A007) exercised on in-memory fixture strings. *)
 
 let has_code code ds = List.exists (fun d -> d.Lint.Diagnostic.code = code) ds
 
@@ -167,123 +167,123 @@ let test_json_bytes () =
     (Lint.Diagnostic.to_json [ d ]);
   Alcotest.(check string) "empty list" "[]" (Lint.Diagnostic.to_json [])
 
-(* ---------------- source rules (repolint engine) ---------------- *)
+(* ---------------- source rules (analyzer passes A005-A007) ---------------- *)
 
-let scan path text = Lint.Source_rules.scan_file ~path text
+let scan path text = Analysis.Analyzer.check_source ~path text
 
-let rule_ids vs = List.map (fun v -> v.Lint.Source_rules.rule_id) vs
+let count_pass pass fs = List.length (List.filter (fun (f : Analysis.Finding.t) -> f.pass = pass) fs)
 
-let test_migrated_rules_not_token_scanned () =
-  (* R001/R002/R006 migrated to the AST passes A002/A004 in lib/analysis/
-     (token matching cannot resolve aliases or shadowing); the token
-     scanner must no longer report them. *)
+let test_rules_are_analyzer_passes () =
+  (* Every source rule is an AST pass; the former token rules R001-R006
+     live on as A002 and A004-A007. *)
+  Alcotest.(check (list string))
+    "pass ids"
+    [ "A001"; "A002"; "A003"; "A004"; "A005"; "A006"; "A007" ]
+    (List.map (fun (p : Analysis.Registry.pass) -> p.id) (Analysis.Analyzer.builtin_passes ()));
   let bad =
-    "let t0 = Unix.gettimeofday ()\n"
-    ^ "let () = Random.self_init ()\n"
+    "let t0 = Unix.gettimeofday ()\n" ^ "let () = Random.self_init ()\n"
     ^ "let v = problem.costs.(0).(1)\n"
   in
-  let ids = rule_ids (scan "lib/cp/search.ml" bad) in
-  check_bool "no R001" false (List.mem "R001" ids);
-  check_bool "no R002" false (List.mem "R002" ids);
-  check_bool "no R006" false (List.mem "R006" ids);
-  check_bool "rule table dropped them" true
-    (List.for_all
-       (fun (r : Lint.Source_rules.rule) ->
-         r.id <> "R001" && r.id <> "R002" && r.id <> "R006")
-       Lint.Source_rules.rules)
+  Alcotest.(check (list string))
+    "wall clock, Random and boxed costs" [ "A002"; "A002"; "A004" ]
+    (List.map (fun (f : Analysis.Finding.t) -> f.pass) (scan "lib/cp/search.ml" bad))
 
-let test_r003_obj_magic () =
+let test_a005_obj_magic () =
   let bad = "let cast (x : int) : string = Obj.magic x" in
-  check_bool "flagged everywhere" true
-    (List.mem "R003" (rule_ids (scan "bin/cloudia_cli.ml" bad)))
+  check_int "flagged in bin" 1 (count_pass "A005" (scan "bin/cloudia_cli.ml" bad));
+  check_int "flagged in lib" 1 (count_pass "A005" (scan "lib/cp/search.ml" bad));
+  check_int "Stdlib spelling" 1
+    (count_pass "A005" (scan "lib/cp/search.ml" "let cast x = Stdlib.Obj.magic x"))
 
-let test_r004_library_printing () =
-  let bad = "let () = Printf.printf \"hi\"; print_endline \"bye\"" in
-  let vs = scan "lib/cloudia/advisor.ml" bad in
-  check_bool "flagged in lib" true (List.mem "R004" (rule_ids vs));
-  check_int "both call sites" 2
-    (List.length (List.filter (fun v -> v.Lint.Source_rules.rule_id = "R004") vs));
-  check_bool "binaries may print" false
-    (List.mem "R004" (rule_ids (scan "bin/cloudia_cli.ml" bad)))
+let test_a005_module_alias () =
+  (* No "Obj.magic" token appears; the alias resolves to it. *)
+  let aliased = "module O = Obj\nlet cast x = O.magic x\n" in
+  (match List.filter (fun (f : Analysis.Finding.t) -> f.pass = "A005") (scan "lib/cp/search.ml" aliased) with
+  | [ f ] -> check_int "at the use" 2 f.line
+  | fs -> Alcotest.failf "expected one A005, got %d" (List.length fs));
+  check_int "open Obj" 1
+    (count_pass "A005" (scan "lib/cp/search.ml" "open Obj\nlet cast x = magic x\n"));
+  check_int "local module alias" 1
+    (count_pass "A005" (scan "lib/cp/search.ml" "let cast x = let module O = Obj in O.magic x\n"))
 
-let test_r005_missing_mli () =
-  let vs =
-    Lint.Source_rules.missing_mli
-      ~paths:
-        [
-          "lib/cp/search.ml"; "lib/cp/search.mli"; "lib/cp/orphan.ml";
-          "bin/cloudia_cli.ml" (* binaries are exempt *);
-        ]
+let test_a006_library_printing () =
+  let in_lib src = count_pass "A006" (scan "lib/cloudia/advisor.ml" src) in
+  let bad =
+    "let () = print_string \"a\"; print_endline \"b\"; print_newline ();\n"
+    ^ "  Printf.printf \"c\"; Format.printf \"d\"\n"
   in
-  check_int "one missing interface" 1 (List.length vs);
-  (match vs with
-  | [ v ] ->
-      Alcotest.(check string) "which file" "lib/cp/orphan.ml" v.Lint.Source_rules.path
-  | _ -> Alcotest.fail "expected exactly one R005 violation")
+  check_int "all five names" 5 (in_lib bad);
+  check_int "open Printf, bare printf" 1 (in_lib "open Printf\nlet () = printf \"hi\"\n");
+  check_int "module P = Printf" 1 (in_lib "module P = Printf\nlet () = P.printf \"hi\"\n");
+  check_int "Stdlib.print_endline" 1 (in_lib "let () = Stdlib.print_endline \"hi\"\n");
+  check_int "binaries may print" 0 (count_pass "A006" (scan "bin/cloudia_cli.ml" bad));
+  check_int "file-local print_endline" 0
+    (in_lib "let print_endline s = ignore s\nlet () = print_endline \"quiet\"\n");
+  check_int "sprintf and fprintf are fine" 0
+    (in_lib "let s = Printf.sprintf \"%d\" 1\nlet () = Printf.fprintf stderr \"%s\" s\n")
 
-let test_sanitizer_ignores_comments_and_strings () =
+let test_a007_missing_mli () =
+  let r =
+    Analysis.Analyzer.run
+      [
+        ("lib/cp/search.ml", "let x = 1\n");
+        ("lib/cp/search.mli", "val x : int\n");
+        ("lib/cp/orphan.ml", "let y = 2\n");
+        ("bin/cloudia_cli.ml", "let () = ()\n") (* binaries are exempt *);
+      ]
+  in
+  match r.Analysis.Analyzer.kept with
+  | [ f ] ->
+      Alcotest.(check string) "pass" "A007" f.pass;
+      Alcotest.(check string) "which file" "lib/cp/orphan.ml" f.path
+  | fs -> Alcotest.failf "expected exactly one A007 finding, got %d" (List.length fs)
+
+let test_a005_skips_comments_and_strings () =
   let text =
-    "(* Obj.magic is banned everywhere *)\n"
-    ^ "let doc = \"call Obj.magic never\"\n"
-    ^ "let raw = {|Obj.magic in a quoted block|}\n"
-    ^ "let tick = 'x'\n"
+    "(* Obj.magic is banned everywhere *)\n" ^ "let doc = \"call Obj.magic never\"\n"
+    ^ "let raw = {|Obj.magic in a quoted block|}\n" ^ "let tick = 'x'\n"
   in
   check_int "nothing flagged" 0 (List.length (scan "lib/cp/search.ml" text));
-  (* Nested comments stay blanked to the outer close. *)
   let nested = "(* outer (* Obj.magic *) still comment *) let x = 1" in
   check_int "nested comment" 0 (List.length (scan "lib/cp/search.ml" nested));
-  (* ...but real code after the comment is still scanned. *)
   let mixed = "(* fine *) let cast x = Obj.magic x" in
-  check_bool "code after comment flagged" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" mixed)))
+  check_int "code after comment flagged" 1 (count_pass "A005" (scan "lib/cp/search.ml" mixed))
 
-let test_sanitizer_delimited_quoted_strings () =
-  (* {id|...|id} quoted strings: only the matching |id} closes, so a bare
-     "|}" inside the body must not end the blanking early. *)
+let test_a005_skips_quoted_strings () =
   let text = "let payload = {json|{\"x\": [1]} Obj.magic |} still |json}\n" in
-  check_int "delimited string blanked" 0 (List.length (scan "lib/cp/search.ml" text));
+  check_int "delimited string" 0 (List.length (scan "lib/cp/search.ml" text));
   let after = "let p = {q|Obj.magic|q}\nlet cast x = Obj.magic x\n" in
-  check_bool "code after delimited string still scanned" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" after)));
-  (* Sanitizing preserves byte offsets, so the violation line is exact. *)
   (match scan "lib/cp/search.ml" after with
-  | [ v ] -> check_int "line" 2 v.Lint.Source_rules.line
-  | vs -> Alcotest.fail (Printf.sprintf "expected one violation, got %d" (List.length vs)));
-  (* '{' that opens a record, not a quoted string, is left alone. *)
-  check_bool "record braces untouched" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" "let r = { x = Obj.magic 1 }")))
+  | [ f ] -> check_int "line after the string" 2 f.line
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
+  check_int "record braces are code" 1
+    (count_pass "A005" (scan "lib/cp/search.ml" "let r = { x = Obj.magic 1 }"))
 
 let test_token_boundaries () =
-  (* My_Obj.magic_backup is not Obj.magic. *)
-  let similar = "let x = My_Obj.magic_backup ()" in
+  let similar = "let x = My_Obj.magic_backup ()\nlet y = Obj.magic_number\n" in
   check_int "no false positive" 0 (List.length (scan "lib/cp/search.ml" similar))
 
 let test_allowlist_suppression () =
-  let bad = "let () = Printf.printf \"hi\"" in
-  let vs = scan "lib/cp/search.ml" bad in
-  let allows =
-    Lint.Source_rules.parse_allowlist
-      "# debug CLI surface, tracked in ROADMAP\nR004 lib/cp/\n"
+  let files =
+    [ ("lib/cp/search.ml", "let () = Printf.printf \"hi\"\n"); ("lib/cp/search.mli", "") ]
   in
-  let kept, suppressed = Lint.Source_rules.partition_allowed allows vs in
-  check_int "suppressed" 1 (List.length suppressed);
-  check_int "kept" 0 (List.length kept);
-  (* Wrong rule id or non-matching prefix keeps the violation. *)
-  let allows = Lint.Source_rules.parse_allowlist "R003 lib/cp/\nR004 lib/lp/\n" in
-  let kept, suppressed = Lint.Source_rules.partition_allowed allows vs in
-  check_int "not suppressed" 0 (List.length suppressed);
-  check_int "kept unmatched" 1 (List.length kept)
+  let run allow = Analysis.Analyzer.run ~allow:(Analysis.Analyzer.parse_allowlist allow) files in
+  let r = run "# debug CLI surface, tracked in ROADMAP\nA006 lib/cp/\n" in
+  check_int "suppressed" 1 (List.length r.Analysis.Analyzer.suppressed);
+  check_int "kept" 0 (List.length r.Analysis.Analyzer.kept);
+  (* Another pass or another prefix keeps the finding. *)
+  let r = run "A005 lib/cp/\nA006 lib/lp/\n" in
+  check_int "not suppressed" 0 (List.length r.Analysis.Analyzer.suppressed);
+  check_int "kept unmatched" 1 (List.length r.Analysis.Analyzer.kept)
 
 let test_violation_to_diagnostic () =
-  let bad = "let cast x = Obj.magic x" in
-  match scan "lib/cp/search.ml" bad with
-  | [ v ] ->
-      let d = Lint.Source_rules.violation_to_diagnostic v in
-      check_bool "error severity" true
-        (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
-      Alcotest.(check string) "code" "R003" d.Lint.Diagnostic.code;
+  match scan "lib/cp/search.ml" "let cast x = Obj.magic x" with
+  | [ f ] ->
+      let d = Analysis.Finding.to_diagnostic f in
+      check_bool "error severity" true (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
+      Alcotest.(check string) "code" "A005" d.Lint.Diagnostic.code;
       Alcotest.(check string) "context" "lib/cp/search.ml:1" d.Lint.Diagnostic.context
-  | vs -> Alcotest.fail (Printf.sprintf "expected one violation, got %d" (List.length vs))
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 (* ---------------- hardened numeric entry points ---------------- *)
 
@@ -316,14 +316,13 @@ let suite =
     Alcotest.test_case "check strictness" `Quick test_check_raises_and_strict;
     Alcotest.test_case "sort and json" `Quick test_sort_and_json;
     Alcotest.test_case "json exact bytes" `Quick test_json_bytes;
-    Alcotest.test_case "migrated rules not token-scanned" `Quick
-      test_migrated_rules_not_token_scanned;
-    Alcotest.test_case "R003 obj magic" `Quick test_r003_obj_magic;
-    Alcotest.test_case "R004 library printing" `Quick test_r004_library_printing;
-    Alcotest.test_case "R005 missing mli" `Quick test_r005_missing_mli;
-    Alcotest.test_case "sanitizer" `Quick test_sanitizer_ignores_comments_and_strings;
-    Alcotest.test_case "sanitizer delimited strings" `Quick
-      test_sanitizer_delimited_quoted_strings;
+    Alcotest.test_case "rules are analyzer passes" `Quick test_rules_are_analyzer_passes;
+    Alcotest.test_case "A005 obj magic" `Quick test_a005_obj_magic;
+    Alcotest.test_case "A005 module alias" `Quick test_a005_module_alias;
+    Alcotest.test_case "A006 library printing" `Quick test_a006_library_printing;
+    Alcotest.test_case "A007 missing mli" `Quick test_a007_missing_mli;
+    Alcotest.test_case "A005 skips comments/strings" `Quick test_a005_skips_comments_and_strings;
+    Alcotest.test_case "A005 skips quoted strings" `Quick test_a005_skips_quoted_strings;
     Alcotest.test_case "token boundaries" `Quick test_token_boundaries;
     Alcotest.test_case "allowlist suppression" `Quick test_allowlist_suppression;
     Alcotest.test_case "violation to diagnostic" `Quick test_violation_to_diagnostic;

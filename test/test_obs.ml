@@ -466,19 +466,27 @@ let test_exporters_match_golden () =
   Alcotest.(check string) "chrome bytes" (golden_file "obs-export.chrome.json")
     (golden_export Obs.Export.chrome)
 
+(* What [advise --obs-summary] prints: the report of the in-memory trace,
+   with no JSONL round trip. *)
 let test_summary_renders () =
   let events = sample_events () in
-  let out =
-    export_to_string
-      (Obs.Export.summary ~counters:[ ("test.obs.k", 3) ]
-         ~gauges:[ ("test.obs.g", 0.5) ])
-      events
+  let trace =
+    {
+      Obs.Trace.header =
+        Some { schema = Obs.Export.schema_version; seed = Some 7; argv = [ "advise" ] };
+      events;
+      counters = [ ("test.obs.k", 3) ];
+      gauges = [ ("test.obs.g", 0.5) ];
+      hists = [];
+    }
   in
+  let out = export_to_string (fun oc () -> Obs.Trace.report oc trace) () in
   let contains needle =
     let nl = String.length needle and ol = String.length out in
     let rec go i = i + nl <= ol && (String.sub out i nl = needle || go (i + 1)) in
     go 0
   in
+  Alcotest.(check bool) "provenance" true (contains "run: advise (schema 2, seed 7)");
   Alcotest.(check bool) "span tree" true (contains "search");
   Alcotest.(check bool) "incumbent stream" true (contains "cp");
   Alcotest.(check bool) "counter table" true (contains "test.obs.k");

@@ -7,7 +7,8 @@
    Parses every .ml under ROOTS (default: lib bin bench) relative to
    --root (default: cwd), runs the registered passes (A001 domain-safety,
    A002 determinism, A003 hot-path allocation, A004 matrix
-   representation), subtracts inline suppressions
+   representation, A005 Obj.magic, A006 console output in lib/, A007
+   missing .mli), subtracts inline suppressions
    [(* cloudia-lint: allow A00N reason *)], the allowlist and the
    committed baseline, prints the survivors and exits 1 if any remain.
    CI runs it from the repository root and uploads the --json report. *)
@@ -68,7 +69,7 @@ let () =
           if Sys.file_exists f then Some f else None
     in
     match file with
-    | Some f -> Lint.Source_rules.parse_allowlist (read_file f)
+    | Some f -> Analysis.Analyzer.parse_allowlist (read_file f)
     | None -> []
   in
   let baseline_path =

@@ -24,77 +24,24 @@
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("bench_gate: " ^ s); exit 2) fmt
 
-(* Parse the flat JSON object the bench harness emits: string keys,
-   number (or null) values, no nesting. Not a general JSON parser. *)
+(* The flat {"metric": number} object the bench harness emits; a null
+   value (a NaN or infinite measurement) counts as a missing metric. *)
 let parse_metrics path =
   let text = In_channel.with_open_text path In_channel.input_all in
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' | ',' -> true | _ -> false)
-    do incr pos done
+  let fields =
+    match Obs.Json.parse text with
+    | Obs.Json.Obj fields -> fields
+    | _ -> fail "%s: expected a JSON object" path
+    | exception Obs.Json.Bad msg -> fail "%s: %s" path msg
   in
-  let expect c =
-    skip_ws ();
-    if peek () <> Some c then fail "%s: expected '%c' at byte %d" path c !pos;
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      if !pos >= n then fail "%s: unterminated string" path;
-      match text.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          (* Metric names never need escapes; keep the char as-is. *)
-          if !pos + 1 >= n then fail "%s: dangling escape" path;
-          Buffer.add_char b text.[!pos + 1];
-          pos := !pos + 2;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    if !pos + 4 <= n && String.sub text !pos 4 = "null" then begin
-      pos := !pos + 4;
-      None
-    end
-    else begin
-      let start = !pos in
-      while
-        !pos < n
-        && match text.[!pos] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false
-      do incr pos done;
-      if !pos = start then fail "%s: expected a number at byte %d" path start;
-      match float_of_string_opt (String.sub text start (!pos - start)) with
-      | Some v -> Some v
-      | None -> fail "%s: bad number %S" path (String.sub text start (!pos - start))
-    end
-  in
-  expect '{';
   let out = Hashtbl.create 32 in
-  let rec entries () =
-    skip_ws ();
-    match peek () with
-    | Some '}' -> incr pos
-    | Some '"' ->
-        let k = parse_string () in
-        expect ':';
-        (match parse_value () with Some v -> Hashtbl.replace out k v | None -> ());
-        entries ()
-    | _ -> fail "%s: expected '\"' or '}' at byte %d" path !pos
-  in
-  entries ();
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Obs.Json.Num raw -> Hashtbl.replace out k (float_of_string raw)
+      | Obs.Json.Null -> ()
+      | _ -> fail "%s: metric %S is not a number" path k)
+    fields;
   out
 
 let contains hay needle =
