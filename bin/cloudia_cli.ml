@@ -191,7 +191,6 @@ let strategy_of_string ~time_limit ~domains ~objective s =
   | "mip" -> Ok (Cloudia.Solver.Mip { Cloudia.Mip_solver.default_options with time_limit })
   | "portfolio" ->
       if domains < 1 then Error (`Msg "--domains must be >= 1")
-      else if time_limit <= 0.0 then Error (`Msg "--time-limit must be positive")
       else Ok (Cloudia.Solver.portfolio ~objective ~domains ~time_limit)
   | _ -> Error (`Msg "strategy must be g1, g2, r1, r2, r2d, anneal, cp, mip or portfolio")
 
@@ -199,6 +198,38 @@ let objective_of_arg s =
   match Cloudia.Cost.objective_of_string (String.lowercase_ascii s) with
   | Some o -> Ok o
   | None -> Error "objective must be ll or lp"
+
+(* --graph-spec or --graph-file, for advise and lint. An edge-list file
+   is linted before construction (GRF001-GRF003), so every structural
+   problem gets a code: the graph is [None] when the findings hold an
+   error. *)
+let load_graph graph_spec graph_file =
+  match (graph_spec, graph_file) with
+  | Some _, Some _ -> Error "give either --graph-spec or --graph-file, not both"
+  | Some spec, None ->
+      Result.map (fun g -> (Some (g, "spec " ^ spec), [])) (Graphs.Graph_io.parse_spec spec)
+  | None, Some file -> (
+      match In_channel.with_open_text file In_channel.input_all with
+      | exception Sys_error e -> Error e
+      | text -> (
+          match Graphs.Graph_io.parse_edge_list_raw text with
+          | Error e -> Error e
+          | Ok (n, edges) ->
+              let ds = Lint.Instance.check_edges ~n edges in
+              if Lint.Diagnostic.errors ds <> [] then Ok (None, ds)
+              else Ok (Some (Graphs.Digraph.create ~n edges, "file " ^ file), ds)))
+  | None, None -> Ok (None, [])
+
+(* --costs-file through the one loader; a ragged CSV is refused with its
+   LAT001 finding. *)
+let load_costs file =
+  match Cloudia.Matrix_io.load file with
+  | Ok lat -> Ok lat
+  | Error (`Msg e) -> Error e
+  | Error (`Lint ds) -> Error (String.trim (Format.asprintf "%a" Lint.Diagnostic.render ds))
+
+let blocks ~strict ds =
+  Lint.Diagnostic.errors ds <> [] || (strict && Lint.Diagnostic.warnings ds <> [])
 
 let on_missing_conv =
   Arg.enum
@@ -214,56 +245,41 @@ let advise provider seed workload strategy_name scale over metric time_limit dom
   let from_workload () =
     match workload with
     | Behavioral ->
-        Ok
-          ( Workloads.Behavioral.graph ~rows:scale ~cols:scale,
-            Cloudia.Cost.Longest_link,
-            Printf.sprintf "behavioral %dx%d mesh" scale scale )
+        ( Workloads.Behavioral.graph ~rows:scale ~cols:scale,
+          Cloudia.Cost.Longest_link,
+          Printf.sprintf "behavioral %dx%d mesh" scale scale )
     | Aggregation ->
-        Ok
-          ( Workloads.Aggregation.graph ~fanout:2 ~depth:scale,
-            Cloudia.Cost.Longest_path,
-            Printf.sprintf "aggregation tree depth %d" scale )
+        ( Workloads.Aggregation.graph ~fanout:2 ~depth:scale,
+          Cloudia.Cost.Longest_path,
+          Printf.sprintf "aggregation tree depth %d" scale )
     | Kv ->
-        Ok
-          ( Workloads.Kv_store.graph ~front_ends:scale ~storage:(2 * scale),
-            Cloudia.Cost.Longest_link,
-            Printf.sprintf "kv store %d front-ends x %d storage" scale (2 * scale) )
+        ( Workloads.Kv_store.graph ~front_ends:scale ~storage:(2 * scale),
+          Cloudia.Cost.Longest_link,
+          Printf.sprintf "kv store %d front-ends x %d storage" scale (2 * scale) )
   in
   (* An explicit graph (template spec or edge-list file) overrides the
      workload template; the objective then defaults to longest link, or
      longest path when the graph is a DAG with aggregation set. *)
-  let graph_result =
-    match (graph_spec, graph_file) with
-    | Some _, Some _ -> Error "give either --graph-spec or --graph-file, not both"
-    | Some spec, None -> (
-        match Graphs.Graph_io.parse_spec spec with
-        | Ok g -> Ok (Some (g, "spec " ^ spec))
-        | Error e -> Error e)
-    | None, Some file -> (
-        match In_channel.with_open_text file In_channel.input_all with
-        | exception Sys_error e -> Error e
-        | text -> (
-            match Graphs.Graph_io.parse_edge_list text with
-            | Ok (g, _) -> Ok (Some (g, "file " ^ file))
-            | Error e -> Error e))
-    | None, None -> Ok None
-  in
-  match
-    match graph_result with
-    | Error e -> Error e
-    | Ok None -> from_workload ()
-    | Ok (Some (g, label)) ->
+  match load_graph graph_spec graph_file with
+  | Error e ->
+      prerr_endline e;
+      2
+  | Ok (_, edge_diags) when blocks ~strict:strict_lint edge_diags ->
+      Format.eprintf "%a" Lint.Diagnostic.render edge_diags;
+      prerr_endline "advise: blocked by lint errors";
+      2
+  | Ok (graph, edge_diags) ->
+  let graph, objective, describe =
+    match graph with
+    | None -> from_workload ()
+    | Some (g, label) ->
         let objective =
           match workload with
           | Aggregation when Graphs.Digraph.is_dag g -> Cloudia.Cost.Longest_path
           | _ -> Cloudia.Cost.Longest_link
         in
-        Ok (g, objective, label)
-  with
-  | Error e ->
-      prerr_endline e;
-      2
-  | Ok (graph, objective, describe) ->
+        (g, objective, label)
+  in
   (match strategy_of_string ~time_limit ~domains ~objective strategy_name with
   | Error (`Msg m) -> prerr_endline m; 2
   | Ok strategy -> (
@@ -304,6 +320,9 @@ let advise provider seed workload strategy_name scale over metric time_limit dom
              else "advise: blocked by lint errors");
           2
       | report ->
+          let report =
+            { report with diagnostics = edge_diags @ report.Cloudia.Advisor.diagnostics }
+          in
           export_observability ~seed ~trace_file ~trace_format ~obs_summary ();
           (* Tolerated findings still deserve eyeballs: render them on
              stderr so stdout stays machine-readable. *)
@@ -521,70 +540,71 @@ let plan_cmd_run seed costs_file graph_spec objective_name strategy_name time_li
     json =
   match
     match
-      (objective_of_arg objective_name, Cloudia.Matrix_io.load_auto costs_file, Graphs.Graph_io.parse_spec graph_spec)
+      (objective_of_arg objective_name, load_costs costs_file, Graphs.Graph_io.parse_spec graph_spec)
     with
     | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
     | Ok objective, Ok costs, Ok graph -> (
-        match Cloudia.Types.of_matrix ~graph costs with
-        | exception Invalid_argument e -> Error e
-        | problem -> Ok (objective, problem))
+        match strategy_of_string ~time_limit ~domains ~objective strategy_name with
+        | Error (`Msg m) -> Error m
+        | Ok strategy -> (
+            match
+              Lint.Diagnostic.errors
+                (Cloudia.Advisor.gate ~full:false (Some graph) (Some costs) objective
+                   (Some strategy))
+            with
+            | exception Invalid_argument m -> Error m
+            | [] -> Ok (objective, strategy, Cloudia.Types.of_matrix ~graph costs)
+            | ds ->
+                Error
+                  (Format.asprintf "%aplan: blocked by lint errors" Lint.Diagnostic.render ds)))
   with
   | Error e ->
       prerr_endline e;
       2
-  | Ok (objective, problem) -> (
-      match strategy_of_string ~time_limit ~domains ~objective strategy_name with
-      | Error (`Msg m) ->
+  | Ok (objective, strategy, problem) -> (
+      match Cloudia.Advisor.search (Prng.create seed) strategy objective problem with
+      | exception Invalid_argument m ->
           prerr_endline m;
           2
-      | Ok strategy -> (
-          match Cloudia.Advisor.search (Prng.create seed) strategy objective problem with
-          | exception Invalid_argument m ->
-              prerr_endline m;
-              2
-          | exception Lint.Diagnostic.Failed ds ->
-              Format.eprintf "%a" Lint.Diagnostic.render ds;
-              prerr_endline "plan: blocked by lint errors";
-              2
-          | plan ->
-              let default = Cloudia.Types.identity_plan problem in
-              let cost = Cloudia.Cost.eval objective problem plan in
-              let default_cost = Cloudia.Cost.eval objective problem default in
-              let unused = Cloudia.Types.unused_instances problem plan in
-              if json then begin
-                print_json
-                  (Obs.Json.Obj
-                     [
-                       ("instances", Obs.Json.of_int (Cloudia.Types.instance_count problem));
-                       ("nodes", Obs.Json.of_int (Cloudia.Types.node_count problem));
-                       ("objective", Obs.Json.Str (Cloudia.Cost.objective_to_string objective));
-                       ("seed", Obs.Json.of_int seed);
-                       ("default_cost_ms", num17 default_cost);
-                       ("optimized_cost_ms", num17 cost);
-                       ( "improvement_pct",
-                         num17 (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
-                       );
-                       ("plan", ints (Array.to_list plan));
-                       ("terminate", ints unused);
-                     ])
-              end
-              else begin
-                Printf.printf "instances      : %d\n" (Cloudia.Types.instance_count problem);
-                Printf.printf "nodes          : %d\n" (Cloudia.Types.node_count problem);
-                Printf.printf "objective      : %s\n"
-                  (Cloudia.Cost.objective_to_string objective);
-                Printf.printf "default cost   : %.3f ms\n" default_cost;
-                Printf.printf "optimized cost : %.3f ms (%.1f%% better)\n" cost
-                  (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost);
-                Printf.printf "plan           : %s\n"
-                  (Format.asprintf "%a" Cloudia.Types.pp_plan plan);
-                match unused with
-                | [] -> ()
-                | unused ->
-                    Printf.printf "terminate      : instances %s\n"
-                      (String.concat ", " (List.map string_of_int unused))
-              end;
-              0))
+      | plan ->
+          let default = Cloudia.Types.identity_plan problem in
+          let cost = Cloudia.Cost.eval objective problem plan in
+          let default_cost = Cloudia.Cost.eval objective problem default in
+          let unused = Cloudia.Types.unused_instances problem plan in
+          if json then begin
+            print_json
+              (Obs.Json.Obj
+                 [
+                   ("instances", Obs.Json.of_int (Cloudia.Types.instance_count problem));
+                   ("nodes", Obs.Json.of_int (Cloudia.Types.node_count problem));
+                   ("objective", Obs.Json.Str (Cloudia.Cost.objective_to_string objective));
+                   ("seed", Obs.Json.of_int seed);
+                   ("default_cost_ms", num17 default_cost);
+                   ("optimized_cost_ms", num17 cost);
+                   ( "improvement_pct",
+                     num17 (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
+                   );
+                   ("plan", ints (Array.to_list plan));
+                   ("terminate", ints unused);
+                 ])
+          end
+          else begin
+            Printf.printf "instances      : %d\n" (Cloudia.Types.instance_count problem);
+            Printf.printf "nodes          : %d\n" (Cloudia.Types.node_count problem);
+            Printf.printf "objective      : %s\n"
+              (Cloudia.Cost.objective_to_string objective);
+            Printf.printf "default cost   : %.3f ms\n" default_cost;
+            Printf.printf "optimized cost : %.3f ms (%.1f%% better)\n" cost
+              (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost);
+            Printf.printf "plan           : %s\n"
+              (Format.asprintf "%a" Cloudia.Types.pp_plan plan);
+            match unused with
+            | [] -> ()
+            | unused ->
+                Printf.printf "terminate      : instances %s\n"
+                  (String.concat ", " (List.map string_of_int unused))
+          end;
+          0)
 
 let plan_cmd =
   let costs_arg =
@@ -623,72 +643,33 @@ let plan_cmd =
 (* ---- lint: validate an instance without solving ---- *)
 
 let lint_run costs_file graph_spec graph_file objective_name time_limit domains strict json =
-  let requires_dag =
-    Result.map (fun o -> o = Cloudia.Cost.Longest_path) (objective_of_arg objective_name)
-  in
-  (* The raw loaders accept exactly the malformed inputs the strict
-     parsers reject, so every problem is reported at once, with codes. *)
-  let matrix_result =
+  (* The loaders do not validate, so every problem is reported at once,
+     with codes. *)
+  let matrix =
     match costs_file with
-    | None -> Ok None
-    | Some file when Lat_matrix.looks_binary file -> (
-        match Cloudia.Matrix_io.load_auto_raw file with
-        | Ok m -> Ok (Some (Lat_matrix.to_arrays m))
-        | Error e -> Error ("costs: " ^ e))
+    | None -> Ok (None, [])
     | Some file -> (
-        match Cloudia.Matrix_io.load_raw file with
-        | Ok m -> Ok (Some m)
-        | Error e -> Error ("costs: " ^ e))
+        match Cloudia.Matrix_io.load file with
+        | Ok lat -> Ok (Some lat, [])
+        | Error (`Lint ds) -> Ok (None, ds)
+        | Error (`Msg e) -> Error ("costs: " ^ e))
   in
-  let graph_result =
-    match (graph_spec, graph_file) with
-    | Some _, Some _ -> Error "give either --graph-spec or --graph-file, not both"
-    | Some spec, None -> (
-        match Graphs.Graph_io.parse_spec spec with
-        | Ok g -> Ok (Some (`Graph g))
-        | Error e -> Error e)
-    | None, Some file -> (
-        match In_channel.with_open_text file In_channel.input_all with
-        | exception Sys_error e -> Error e
-        | text -> (
-            match Graphs.Graph_io.parse_edge_list_raw text with
-            | Ok (n, edges) -> Ok (Some (`Edges (n, edges)))
-            | Error e -> Error e))
-    | None, None -> Ok None
-  in
-  match (requires_dag, matrix_result, graph_result) with
+  match (objective_of_arg objective_name, matrix, load_graph graph_spec graph_file) with
+  | _ when costs_file = None && graph_spec = None && graph_file = None ->
+      prerr_endline "nothing to lint: give --costs-file and/or --graph-spec/--graph-file";
+      2
   | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       2
-  | Ok _, Ok None, Ok None ->
-      prerr_endline "nothing to lint: give --costs-file and/or --graph-spec/--graph-file";
-      2
-  | Ok requires_dag, Ok matrix, Ok graph ->
-      let pool = Option.map Array.length matrix in
-      let matrix_diags =
-        match matrix with
-        | None -> []
-        | Some m -> Lint.Instance.check_matrix m
+  | Ok objective, Ok (lat, matrix_diags), Ok (graph, graph_diags) ->
+      (* lint names no strategy, so the budget and domain count it was
+         given are checked as given. *)
+      let diagnostics =
+        matrix_diags @ graph_diags
+        @ Cloudia.Advisor.gate ~full:true (Option.map fst graph) lat objective None
+        @ Lint.Instance.check_config ?time_limit ?domains
+            ?pool:(Option.map Lat_matrix.dim lat) ()
       in
-      let graph_diags =
-        match graph with
-        | None -> []
-        | Some (`Graph g) -> Lint.Instance.check_graph ?pool ~requires_dag g
-        | Some (`Edges (n, edges)) -> (
-            let edge_diags = Lint.Instance.check_edges ~n edges in
-            (* Structural errors poison construction; only lint the graph
-               itself once the edge list is sound. *)
-            if Lint.Diagnostic.errors edge_diags <> [] then edge_diags
-            else
-              edge_diags
-              @ Lint.Instance.check_graph ?pool ~requires_dag
-                  (Graphs.Digraph.create ~n
-                     (List.sort_uniq compare (List.filter (fun (u, v) -> u <> v) edges))))
-      in
-      let config_diags =
-        Lint.Instance.check_config ?time_limit ?domains ?pool ()
-      in
-      let diagnostics = matrix_diags @ graph_diags @ config_diags in
       if json then print_endline (Lint.Diagnostic.to_json diagnostics)
       else begin
         Format.printf "%a" Lint.Diagnostic.render diagnostics;
@@ -699,16 +680,13 @@ let lint_run costs_file graph_spec graph_file objective_name time_limit domains 
           - List.length (Lint.Diagnostic.errors diagnostics)
           - List.length (Lint.Diagnostic.warnings diagnostics))
       end;
-      let blocking =
-        Lint.Diagnostic.errors diagnostics <> []
-        || (strict && Lint.Diagnostic.warnings diagnostics <> [])
-      in
-      if blocking then 1 else 0
+      if blocks ~strict diagnostics then 1 else 0
 
 let lint_cmd =
   let costs_arg =
     Arg.(value & opt (some string) None & info [ "costs-file" ]
-           ~doc:"CSV cost matrix to validate (NaN/inf/negative entries are reported, not rejected).")
+           ~doc:"Cost matrix to validate, CSV or the CLDALAT1 binary format, sniffed by magic \
+                 (NaN/inf/negative entries are reported, not rejected).")
   in
   let graph_spec_arg =
     Arg.(value & opt (some string) None & info [ "graph-spec" ]
@@ -755,7 +733,7 @@ let convert_run input output storage_name =
       (* The raw loader keeps NaN unsampled markers: binary is the
          lossless carrier for partial matrices, and converting one back
          to CSV prints the canonical "nan" cells. *)
-      match Cloudia.Matrix_io.load_auto_raw input with
+      match load_costs input with
       | Error e ->
           prerr_endline ("convert: " ^ e);
           2
@@ -1104,7 +1082,7 @@ let client_advise socket wait_s costs_file graph_spec solver_name objective_name
         | s -> Ok s
         | exception Serve.Protocol.Protocol_error _ ->
             Error "solver must be cp, anneal, greedy or descent"),
-        Cloudia.Matrix_io.load_auto costs_file,
+        load_costs costs_file,
         Graphs.Graph_io.parse_spec graph_spec )
     with
     | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e -> Error e

@@ -46,43 +46,34 @@ let strategy_domains = function
   | Solver.Portfolio p -> Some (List.length p.Solver.members)
   | _ -> None
 
-let requires_dag = function Cost.Longest_path -> true | Cost.Longest_link -> false
-
-let lint ?pool config =
-  Lint.Instance.check_graph ?pool ~requires_dag:(requires_dag config.objective)
-    config.graph
-  @ Lint.Instance.check_config
-      ?time_limit:(Solver.time_limit config.strategy)
-      ?domains:(strategy_domains config.strategy)
-      ?pool ~over_allocation:config.over_allocation
-      ~samples_per_pair:config.samples_per_pair ()
-
-(* Unsampled (nan) off-diagonal entries in a problem's cost matrix. *)
-let count_unsampled (costs : Lat_matrix.t) =
-  let missing = ref 0 in
-  Lat_matrix.iter
-    (fun j j' c -> if j <> j' && Float.is_nan c then incr missing)
-    costs;
-  !missing
+let gate ~full graph lat objective strategy =
+  Option.iter (fun s -> Solver.check_supports s objective) strategy;
+  let pool = Option.map Lat_matrix.dim lat in
+  (match lat with
+   | None -> []
+   | Some lat ->
+       Lint.Instance.check_matrix
+         ?max_triangle_n:(if full then None else Some 0)
+         (Lat_matrix.to_arrays lat))
+  @ (match graph with
+     | None -> []
+     | Some graph ->
+         let requires_dag =
+           match objective with Cost.Longest_path -> true | Cost.Longest_link -> false
+         in
+         Lint.Instance.check_graph ?pool ~requires_dag graph)
+  @
+  match strategy with
+  | None -> []
+  | Some s ->
+      Lint.Instance.check_config ?time_limit:(Solver.time_limit s)
+        ?domains:(strategy_domains s) ?pool ()
 
 let search_with_telemetry rng strategy objective problem =
-  (* Errors fail fast before any solver runs: a cyclic graph under the
-     longest-path objective would otherwise raise deep inside Cost, a
-     non-positive budget would spin a solver forever or not at all, and a
-     partial (nan-bearing) matrix would poison every cost comparison. *)
-  let pool = Types.instance_count problem in
   Lint.Diagnostic.check
     (Lint.Diagnostic.errors
-       (Lint.Instance.check_graph ~pool
-          ~requires_dag:(requires_dag objective) problem.Types.graph
-       @ Lint.Instance.check_config
-           ?time_limit:(Solver.time_limit strategy)
-           ?domains:(strategy_domains strategy)
-           ~pool ()
-       @ Lint.Instance.check_partial
-           ~total:(pool * (pool - 1))
-           ~missing:(count_unsampled problem.Types.lat)
-           ~imputed:0 ~dropped:0 ()));
+       (gate ~full:false (Some problem.Types.graph) (Some problem.Types.lat) objective
+          (Some strategy)));
   let before = Obs.Counter.snapshot () in
   let o = Solver.run strategy rng objective problem in
   ( o.Solver.plan,
@@ -116,8 +107,10 @@ let run ?(strict_lint = false) ?(faults = Cloudsim.Faults.none)
     ?(on_missing = Fail) rng provider config =
   (* Pre-allocation gate: everything checkable before spending money on
      instances. Errors (and, under --strict-lint, warnings) fail fast. *)
-  let pre_diagnostics = lint config in
-  Lint.Diagnostic.check ~strict:strict_lint pre_diagnostics;
+  Lint.Diagnostic.check ~strict:strict_lint
+    (gate ~full:true (Some config.graph) None config.objective (Some config.strategy)
+    @ Lint.Instance.check_config ~over_allocation:config.over_allocation
+        ~samples_per_pair:config.samples_per_pair ());
   let faulted = not (Cloudsim.Faults.is_none faults) in
   if faulted && config.metric <> Metrics.Mean then
     invalid_arg
@@ -153,25 +146,15 @@ let run ?(strict_lint = false) ?(faults = Cloudsim.Faults.none)
       let cov = Netmeasure.Schemes.coverage m in
       let total = count * (count - 1) in
       let identity = Array.init count (fun i -> i) in
+      (* Unsampled pairs stay NaN in the matrix; the gate reports them
+         as LAT007. *)
       match on_missing with
-      | Fail ->
-          let missing = ref 0 in
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun j s -> if i <> j && s = 0 then incr missing)
-                row)
-            m.Netmeasure.Schemes.samples;
-          let diags =
-            Lint.Instance.check_partial ~total ~missing:!missing ~imputed:0 ~dropped:0 ()
-          in
-          (Lat_matrix.of_arrays m.Netmeasure.Schemes.means, minutes, cov, identity, [], diags)
+      | Fail -> (Lat_matrix.of_arrays m.Netmeasure.Schemes.means, minutes, cov, identity, [], [])
       | Impute ->
           let c = Netmeasure.Completion.complete m in
           let diags =
-            Lint.Instance.check_partial ~total
-              ~missing:c.Netmeasure.Completion.unresolved
-              ~imputed:c.Netmeasure.Completion.imputed ~dropped:0 ()
+            Lint.Instance.check_partial ~total ~imputed:c.Netmeasure.Completion.imputed
+              ~dropped:0 ()
           in
           (Lat_matrix.of_arrays c.Netmeasure.Completion.means, minutes, cov, identity, [], diags)
       | Drop_instance ->
@@ -186,28 +169,19 @@ let run ?(strict_lint = false) ?(faults = Cloudsim.Faults.none)
             !out
           in
           let diags =
-            Lint.Instance.check_partial ~total ~missing:0 ~imputed:0
-              ~dropped:(List.length dropped) ()
+            Lint.Instance.check_partial ~total ~imputed:0 ~dropped:(List.length dropped) ()
           in
           (Lat_matrix.of_arrays sub, minutes, cov, kept, dropped, diags)
     end
   in
-  let pool = Array.length kept in
-  (* Post-measurement gate: partial-coverage findings first (an LAT007
-     under --on-missing fail raises here), then data-quality checks on
-     the matrix the solver will actually see, then the pool-aware config
-     checks the first gate could not run. *)
+  (* Post-measurement gate on the matrix the solver will actually see:
+     unsampled pairs (LAT007), data quality, and the pool-aware checks the
+     first gate could not run — a pool that dropping shrank below the node
+     set fails as GRF006. *)
   let diagnostics =
-    pre_diagnostics @ partial_diags
-    @ Lint.Instance.check_matrix (Lat_matrix.to_arrays costs)
-    (* Dropping instances shrinks the pool; re-run only the error-grade
-       graph checks against it (the warnings are already in the pre gate)
-       so a pool now smaller than the node set fails as GRF006. *)
-    @ (if pool < count then
-         Lint.Diagnostic.errors (Lint.Instance.check_graph ~pool config.graph)
-       else [])
-    @ Lint.Instance.check_config ?domains:(strategy_domains config.strategy)
-        ~pool ()
+    partial_diags
+    @ gate ~full:true (Some config.graph) (Some costs) config.objective
+        (Some config.strategy)
   in
   Lint.Diagnostic.check ~strict:strict_lint diagnostics;
   let problem = Types.of_matrix ~graph:config.graph costs in

@@ -86,21 +86,34 @@ type report = {
           they raise {!Lint.Diagnostic.Failed} first) *)
 }
 
-val lint : ?pool:int -> config -> Lint.Diagnostic.t list
-(** The pre-solve gate's view of a configuration: communication-graph
-    checks (acyclicity when the objective is longest-path, connectivity,
-    [|V| <= pool] when [pool] is given) plus solver-config sanity (time
-    limits, domain counts, over-allocation, sampling effort). Pure — no
-    allocation or measurement happens. *)
+val gate :
+  full:bool -> Graphs.Digraph.t option -> Lat_matrix.t option -> Cost.objective
+  -> Solver.t option -> Lint.Diagnostic.t list
+(** The pre-solve gate: every {!Lint.Instance} finding for an instance.
+    [plan], [lint], [advise] and the daemon all check through it.
+
+    - matrix checks [LAT001]–[LAT007] (an off-diagonal NaN is an unsampled
+      pair, [LAT007]);
+    - graph checks [GRF004]–[GRF008], acyclicity under the longest-path
+      objective, with the pool taken from the matrix;
+    - config checks [CFG001]–[CFG003] on the strategy's time limit and
+      portfolio size.
+
+    An absent graph, matrix or strategy skips its checks. [~full:false] skips the
+    O(n³) [LAT006] triangle scan, an info finding that never blocks, so a
+    path that only blocks on errors pays O(n² + |E|). Raises
+    [Invalid_argument] with {!Solver.check_supports}'s message when the
+    strategy cannot handle the objective. *)
 
 val run :
   ?strict_lint:bool -> ?faults:Cloudsim.Faults.t -> ?on_missing:on_missing
   -> Prng.t -> Cloudsim.Provider.t -> config -> report
-(** Raises [Lint.Diagnostic.Failed] when the pre-solve lint gate finds an
-    error in the configuration, the communication graph, or the measured
-    cost matrix — with [~strict_lint:true], warnings block too. Raises
-    [Invalid_argument] when the strategy cannot handle the objective
-    ({!Solver.supports}). The
+(** Raises [Lint.Diagnostic.Failed] when {!gate} finds an error in the
+    configuration and graph before allocation (together with the
+    over-allocation and sampling checks [CFG004]/[CFG005]), or in the
+    measured cost matrix after measurement — with [~strict_lint:true],
+    warnings block too. Raises [Invalid_argument] when the strategy
+    cannot handle the objective ({!Solver.supports}). The
     allocate / measure / search steps run under {!Obs.Span}s of those
     names (nested in an ["advise"] root), so [--trace] output shows where
     the tuning budget went.
@@ -120,8 +133,8 @@ val search : Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan
 val search_with_telemetry :
   Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan * telemetry
 (** Like {!search} but also returns the solver statistics, incumbent trace
-    and counter deltas the plain interface drops. Both run the pre-solve
-    lint gate on the problem first and raise [Lint.Diagnostic.Failed] on an
-    error-severity finding (e.g. a cyclic graph under the longest-path
-    objective, which would otherwise surface as an unguarded exception deep
-    inside {!Cost}). *)
+    and counter deltas the plain interface drops. Both run {!gate} on the
+    problem first and raise [Lint.Diagnostic.Failed] on an error-severity
+    finding (e.g. a cyclic graph under the longest-path objective, which
+    would otherwise surface as an unguarded exception deep inside
+    {!Cost}). *)

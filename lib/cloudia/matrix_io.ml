@@ -30,31 +30,6 @@ let parse_raw text =
     collect 1 [] lines
   end
 
-let parse text =
-  match parse_raw text with
-  | Error e -> Error e
-  | Ok matrix ->
-        let n = Array.length matrix in
-        let problem = ref None in
-        Array.iteri
-          (fun i row ->
-            if !problem = None then
-              if Array.length row <> n then
-                problem := Some (Printf.sprintf "row %d has %d entries, expected %d" (i + 1)
-                                   (Array.length row) n)
-              else
-                Array.iteri
-                  (fun j v ->
-                    if !problem = None then
-                      if i = j && v <> 0.0 then
-                        problem := Some (Printf.sprintf "diagonal entry (%d,%d) must be 0" i j)
-                      else if (not (Float.is_finite v)) || v < 0.0 then
-                        problem :=
-                          Some (Printf.sprintf "entry (%d,%d) must be finite and >= 0" i j))
-                  row)
-          matrix;
-        (match !problem with Some e -> Error e | None -> Ok matrix)
-
 let print matrix =
   let buf = Buffer.create 256 in
   Array.iter
@@ -71,49 +46,21 @@ let print matrix =
     matrix;
   Buffer.contents buf
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text -> parse text
-
-let load_raw path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text -> parse_raw text
-
 (* ---------- binary format (see Lat_matrix) ---------- *)
 
 let save_binary path lat = Lat_matrix.write_binary path lat
 
-let validate lat =
-  let bad = ref None in
-  Lat_matrix.iter
-    (fun i j v ->
-      if !bad = None then
-        if i = j && v <> 0.0 then
-          bad := Some (Printf.sprintf "diagonal entry (%d,%d) must be 0" i j)
-        else if i <> j && ((not (Float.is_finite v)) && not (Float.is_nan v)) then
-          bad := Some (Printf.sprintf "entry (%d,%d) must not be infinite" i j)
-        else if v < 0.0 then
-          bad := Some (Printf.sprintf "entry (%d,%d) must be >= 0" i j))
-    lat;
-  match !bad with Some e -> Error e | None -> Ok lat
-
-let load_binary ?mmap path =
-  match Lat_matrix.read_binary ?mmap path with
-  | Error _ as e -> e
-  | Ok lat -> validate lat
-
-let load_auto ?mmap path =
-  if Lat_matrix.looks_binary path then load_binary ?mmap path
-  else match load path with Error _ as e -> e | Ok rows -> Ok (Lat_matrix.of_arrays rows)
-
-let load_auto_raw ?mmap path =
-  if Lat_matrix.looks_binary path then Lat_matrix.read_binary ?mmap path
+let load ?mmap path =
+  if Lat_matrix.looks_binary path then
+    Result.map_error (fun e -> `Msg e) (Lat_matrix.read_binary ?mmap path)
   else
-    match load_raw path with
-    | Error _ as e -> e
-    | Ok rows -> (
-        match Lat_matrix.of_arrays rows with
-        | lat -> Ok lat
-        | exception Invalid_argument e -> Error e)
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error e -> Error (`Msg e)
+    | text -> (
+        match parse_raw text with
+        | Error e -> Error (`Msg e)
+        | Ok rows ->
+            let n = Array.length rows in
+            if Array.for_all (fun row -> Array.length row = n) rows then
+              Ok (Lat_matrix.of_arrays rows)
+            else Error (`Lint (Lint.Instance.check_matrix rows)))

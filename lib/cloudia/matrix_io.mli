@@ -2,70 +2,47 @@
 
     A tenant who has measured their own allocation (with this repository's
     schemes or any external prober) can hand ClouDiA the pairwise cost
-    matrix directly instead of using the simulator. The format is plain
-    CSV: one row per source instance, comma-separated millisecond costs,
-    zero diagonal; [#]-prefixed lines are comments.
+    matrix directly instead of using the simulator, as CSV or in the
+    binary format below. CSV is one row per source instance,
+    comma-separated millisecond costs, zero diagonal; [#]-prefixed lines
+    are comments; ["nan"] marks an unsampled pair.
 
     {v
       # 3 instances
       0, 0.41, 0.52
       0.40, 0, 0.77
       0.55, 0.79, 0
-    v} *)
+    v}
 
-val parse : string -> (float array array, string) result
-(** Parse CSV text into a square cost matrix. Validates squareness, zero
-    diagonal, and finite non-negative entries (the {!Types.problem}
-    invariants), returning a descriptive error otherwise. *)
+    Loading does not validate: {!Advisor.gate} checks a loaded matrix
+    with coded diagnostics, so every entry point reports the same
+    problems the same way. *)
 
-val print : float array array -> string
-(** Render a matrix back to the CSV form ([%.6g] per entry; round-trips
-    through {!parse} up to that precision). Unsampled entries print as a
-    literal ["nan"], which {!parse_raw} reads back (and {!parse}, being
-    strict, rejects) — a partial matrix survives a print/parse_raw
-    round-trip but cannot sneak through the validating path. *)
-
-val load : string -> (float array array, string) result
-(** Read and {!parse} a file. *)
+val load :
+  ?mmap:bool -> string
+  -> (Lat_matrix.t, [ `Msg of string | `Lint of Lint.Diagnostic.t list ]) result
+(** Read a matrix file, sniffing the format by magic: CLDALAT1 binary
+    via {!Lat_matrix.read_binary} ([~mmap:true] maps float64 payloads
+    copy-on-write), anything else as CSV via {!parse_raw}. NaN, infinite,
+    negative and diagonal entries load as they are. [`Msg] is an I/O,
+    syntax or framing error; ragged CSV rows, which no square matrix can
+    hold, are [`Lint] with their [LAT001] diagnostic. *)
 
 val parse_raw : string -> (float array array, string) result
 (** Parse CSV text into rows of floats without enforcing any matrix
     invariant — rows may be ragged and entries may be NaN, infinite or
-    negative. This is the linter's entry point: [cloudia lint] must be
-    able to load exactly the malformed matrices {!parse} rejects, so it
-    can report every problem at once with codes instead of failing on the
-    first. A case-insensitive ["nan"] cell parses to [nan] explicitly.
+    negative. A case-insensitive ["nan"] cell parses to [nan] explicitly.
     Only syntax errors (non-numeric cells, no rows) are [Error]. *)
 
-val load_raw : string -> (float array array, string) result
-(** Read and {!parse_raw} a file. *)
-
-(** {2 Binary matrices}
-
-    The on-disk binary format of {!Lat_matrix}: a 64-byte little-endian
-    header (magic ["CLDALAT1"], version, storage tag, dims) followed by
-    the raw row-major payload, float64 or float32 per the tag. Unlike
-    CSV, the binary round trip is exact — every float64 bit pattern,
-    NaN included, survives — and a float64 file can be mmapped. *)
+val print : float array array -> string
+(** Render a matrix back to the CSV form ([%.6g] per entry; round-trips
+    through {!parse_raw} up to that precision). Unsampled entries print
+    as a literal ["nan"]. *)
 
 val save_binary : string -> Lat_matrix.t -> unit
-(** Write a matrix in the binary format ({!Lat_matrix.write_binary});
-    the matrix's storage tag picks the element width. Raises [Sys_error]
-    on I/O failure. *)
-
-val load_binary : ?mmap:bool -> string -> (Lat_matrix.t, string) result
-(** Read a binary matrix file and validate the {!Types.problem}
-    invariants: zero diagonal, no negative or infinite entries.
-    Off-diagonal NaN (unsampled pairs) is preserved — binary is the
-    lossless carrier for partial matrices. [~mmap:true] maps float64
-    payloads copy-on-write instead of copying. *)
-
-val load_auto : ?mmap:bool -> string -> (Lat_matrix.t, string) result
-(** Sniff the format by magic: binary files go through {!load_binary},
-    anything else through the strict CSV {!load}. *)
-
-val load_auto_raw : ?mmap:bool -> string -> (Lat_matrix.t, string) result
-(** Format-sniffing load without matrix validation (the linter's entry
-    point): binary via {!Lat_matrix.read_binary}, CSV via {!load_raw}.
-    Only syntax/framing errors (and ragged CSV rows, which no square
-    matrix can hold) are [Error]. *)
+(** Write a matrix in the binary format ({!Lat_matrix.write_binary}): a
+    64-byte little-endian header (magic ["CLDALAT1"], version, storage
+    tag, dims) followed by the raw row-major payload, float64 or float32
+    per the matrix's storage tag. Unlike CSV, the round trip is exact —
+    every float64 bit pattern, NaN included, survives. Raises
+    [Sys_error] on I/O failure. *)

@@ -106,13 +106,7 @@ let effort = function
   | Anneal_stats { moves_tried; _ } -> moves_tried
   | Random_stats { trials } -> trials
 
-let check t objective =
-  (match t with
-  | Portfolio p ->
-      if p.members = [] then invalid_arg "Solver.run: a portfolio needs members";
-      if List.exists (function Portfolio _ -> true | _ -> false) p.members then
-        invalid_arg "Solver.run: a portfolio cannot be a portfolio member"
-  | _ -> ());
+let check_supports t objective =
   let leaves = match t with Portfolio p -> p.members | t -> [ t ] in
   match List.find_opt (fun m -> not (supports m objective)) leaves with
   | Some m ->
@@ -120,6 +114,15 @@ let check t objective =
         (Printf.sprintf "Solver.run: %s does not support the %s objective" (name m)
            (Cost.objective_to_string objective))
   | None -> ()
+
+let check t objective =
+  (match t with
+  | Portfolio p ->
+      if p.members = [] then invalid_arg "Solver.run: a portfolio needs members";
+      if List.exists (function Portfolio _ -> true | _ -> false) p.members then
+        invalid_arg "Solver.run: a portfolio cannot be a portfolio member"
+  | _ -> ());
+  check_supports t objective
 
 let c_publishes = Obs.Counter.make "portfolio.publishes"
 

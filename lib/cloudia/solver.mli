@@ -54,6 +54,10 @@ val supports : t -> Cost.objective -> bool
     the objective is longest path (Sect. 4.4: the iterated-SIP scheme
     needs the longest-link structure). *)
 
+val check_supports : t -> Cost.objective -> unit
+(** Raise [Invalid_argument] naming the first strategy {!supports}
+    rejects — the message {!run} raises for it. *)
+
 val time_limit : t -> float option
 (** The wall-clock budget the options carry; [None] for the strategies
     bounded by work alone (greedy, R1). *)

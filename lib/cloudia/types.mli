@@ -14,8 +14,9 @@ type problem = private {
                            inequality assumed. An off-diagonal [nan] marks
                            an {e unsampled} pair (partial measurement);
                            {!Cost} evaluation over a plan touching one
-                           returns [nan], and [Lint.Instance.check_partial]
-                           gates such matrices before they reach a solver.
+                           returns [nan], and {!Advisor.gate} refuses
+                           such matrices before they reach a solver
+                           ([LAT007]).
                            Read through {!cost}/{!unsafe_cost} or
                            [Lat_matrix] accessors — never by materializing
                            boxed rows on a hot path. *)

@@ -6,8 +6,11 @@ type tally = { mutable count : int; mutable first : string; mutable detail : str
 
 let tally () = { count = 0; first = ""; detail = "" }
 
-let hit t ~context detail =
+(* [describe] builds (context, detail) and runs for the first hit only,
+   so a clean pass over n² entries formats nothing. *)
+let hit t describe =
   if t.count = 0 then begin
+    let context, detail = describe () in
     t.first <- context;
     t.detail <- detail
   end;
@@ -28,12 +31,15 @@ let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
   let non_finite = tally () in
   let negative = tally () in
   let diagonal = tally () in
+  let unsampled = tally () in
   let asymmetric = tally () in
+  let at i j = Printf.sprintf "costs[%d][%d]" i j in
   Array.iteri
     (fun i row ->
       if Array.length row <> n then
-        hit not_square ~context:(Printf.sprintf "costs[%d]" i)
-          (Printf.sprintf "row %d has %d entries, expected %d" i (Array.length row) n))
+        hit not_square (fun () ->
+            ( Printf.sprintf "costs[%d]" i,
+              Printf.sprintf "row %d has %d entries, expected %d" i (Array.length row) n )))
     costs;
   let square = not_square.count = 0 in
   if square then
@@ -41,30 +47,38 @@ let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
       (fun i row ->
         Array.iteri
           (fun j c ->
-            let context = Printf.sprintf "costs[%d][%d]" i j in
-            if not (Float.is_finite c) then
-              hit non_finite ~context
-                (Printf.sprintf "entry (%d,%d) is %s; latencies must be finite" i j
-                   (if Float.is_nan c then "NaN" else "infinite"))
+            if Float.is_nan c && i <> j then hit unsampled (fun () -> (at i j, ""))
+            else if not (Float.is_finite c) then
+              hit non_finite (fun () ->
+                  ( at i j,
+                    Printf.sprintf "entry (%d,%d) is %s; latencies must be finite" i j
+                      (if Float.is_nan c then "NaN" else "infinite") ))
             else if c < 0.0 then
-              hit negative ~context
-                (Printf.sprintf "entry (%d,%d) = %g is negative" i j c)
+              hit negative (fun () ->
+                  (at i j, Printf.sprintf "entry (%d,%d) = %g is negative" i j c))
             else if i = j && c <> 0.0 then
-              hit diagonal ~context
-                (Printf.sprintf "diagonal entry (%d,%d) = %g must be 0 (an instance talks to itself for free)" i j c))
+              hit diagonal (fun () ->
+                  ( at i j,
+                    Printf.sprintf
+                      "diagonal entry (%d,%d) = %g must be 0 (an instance talks to itself for free)"
+                      i j c )))
           row)
       costs;
-  let clean = square && non_finite.count = 0 && negative.count = 0 && diagonal.count = 0 in
+  let clean =
+    square && non_finite.count = 0 && negative.count = 0 && diagonal.count = 0
+    && unsampled.count = 0
+  in
   if clean then
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         let a = costs.(i).(j) and b = costs.(j).(i) in
         let scale = Float.max a b in
         if scale > 0.0 && Float.abs (a -. b) > asymmetry_tolerance *. scale then
-          hit asymmetric ~context:(Printf.sprintf "costs[%d][%d]" i j)
-            (Printf.sprintf
-               "cost(%d,%d)=%g vs cost(%d,%d)=%g differ by more than %.0f%%; check the measurements"
-               i j a j i b (100.0 *. asymmetry_tolerance))
+          hit asymmetric (fun () ->
+              ( at i j,
+                Printf.sprintf
+                  "cost(%d,%d)=%g vs cost(%d,%d)=%g differ by more than %.0f%%; check the measurements"
+                  i j a j i b (100.0 *. asymmetry_tolerance) ))
       done
     done;
   let triangle =
@@ -96,7 +110,21 @@ let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
         ]
     end
   in
+  (* LAT007 reports the coverage share rather than one entry: the fix is
+     per measurement, not per cell. *)
+  let unsampled_diag acc =
+    if unsampled.count = 0 then acc
+    else
+      let total = n * (n - 1) in
+      make Error ~code:"LAT007" ~context:unsampled.first
+        (Printf.sprintf
+           "%d of %d ordered pairs (%.1f%%) have no measured latency (NaN); a partial matrix must not reach a solver — rerun the measurement, impute (advise --on-missing impute) or drop instances (advise --on-missing drop)"
+           unsampled.count total
+           (100.0 *. float_of_int unsampled.count /. float_of_int total))
+      :: acc
+  in
   triangle
+  |> unsampled_diag
   |> flush asymmetric Warning ~code:"LAT005"
   |> flush diagonal Error ~code:"LAT004"
   |> flush negative Error ~code:"LAT003"
@@ -113,14 +141,18 @@ let check_edges ~n edges =
     (fun (u, v) ->
       let context = Printf.sprintf "edge (%d,%d)" u v in
       if u < 0 || u >= n || v < 0 || v >= n then
-        hit out_of_range ~context
-          (Printf.sprintf "edge (%d,%d) has an endpoint outside 0..%d" u v (n - 1))
+        hit out_of_range (fun () ->
+            (context, Printf.sprintf "edge (%d,%d) has an endpoint outside 0..%d" u v (n - 1)))
       else if u = v then
-        hit self_loops ~context
-          (Printf.sprintf "self-loop on node %d; a node never talks to itself over the network" u)
+        hit self_loops (fun () ->
+            ( context,
+              Printf.sprintf
+                "self-loop on node %d; a node never talks to itself over the network" u ))
       else if Hashtbl.mem seen (u, v) then
-        hit duplicates ~context
-          (Printf.sprintf "edge (%d,%d) appears more than once; duplicates are collapsed" u v)
+        hit duplicates (fun () ->
+            ( context,
+              Printf.sprintf "edge (%d,%d) appears more than once; duplicates are collapsed" u v
+            ))
       else Hashtbl.add seen (u, v) ())
     edges;
   []
@@ -174,10 +206,10 @@ let check_config ?time_limit ?domains ?pool ?over_allocation ?samples_per_pair (
   let acc = ref [] in
   let add d = acc := d :: !acc in
   (match time_limit with
-  | Some t when t <= 0.0 ->
+  | Some t when not (Float.is_finite t && t > 0.0) ->
       add
         (make Error ~code:"CFG001" ~context:"config.time_limit"
-           (Printf.sprintf "solver time limit %g must be positive" t))
+           (Printf.sprintf "solver time limit %g must be finite and positive" t))
   | _ -> ());
   (match domains with
   | Some d when d < 1 ->
@@ -207,18 +239,12 @@ let check_config ?time_limit ?domains ?pool ?over_allocation ?samples_per_pair (
   | _ -> ());
   List.rev !acc
 
-let check_partial ?(context = "costs") ~total ~missing ~imputed ~dropped () =
+let check_partial ?(context = "costs") ~total ~imputed ~dropped () =
   let acc = ref [] in
   let add d = acc := d :: !acc in
   let pct part =
     if total <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int total
   in
-  if missing > 0 then
-    add
-      (make Error ~code:"LAT007" ~context
-         (Printf.sprintf
-            "%d of %d ordered pairs (%.1f%%) have no measured latency; a partial matrix must not reach a solver — rerun the measurement, impute (--on-missing impute) or drop instances (--on-missing drop)"
-            missing total (pct missing)));
   if imputed > 0 then
     add
       (make Warning ~code:"LAT008" ~context
@@ -232,7 +258,3 @@ let check_partial ?(context = "costs") ~total ~missing ~imputed ~dropped () =
             "%d instance(s) dropped for lack of measurement coverage; the advisor optimizes over the remaining pool"
             dropped));
   List.rev !acc
-
-let check_problem ?asymmetry_tolerance ?requires_dag ~graph ~costs () =
-  check_matrix ?asymmetry_tolerance costs
-  @ check_graph ~pool:(Array.length costs) ?requires_dag graph

@@ -7,17 +7,19 @@
     at least as large as the node set so the deployment injection exists
     (Definition 2). This module turns each assumption into a coded
     diagnostic so a violation fails fast instead of surfacing as NaN costs
-    or an unguarded exception deep inside the solvers.
+    or an unguarded exception deep inside the solvers. [Cloudia.Advisor.gate]
+    composes these checks into the one pre-solve gate every entry point
+    runs.
 
     Codes (see DESIGN.md §7 for the code ↔ paper-assumption map):
 
     - [LAT001] (error) cost matrix is not square
-    - [LAT002] (error) non-finite entry (NaN / ±inf)
+    - [LAT002] (error) non-finite entry (±inf, or NaN on the diagonal)
     - [LAT003] (error) negative entry
     - [LAT004] (error) non-zero diagonal entry
     - [LAT005] (warning) asymmetry beyond tolerance
     - [LAT006] (info) triangle-inequality violations (data-quality signal)
-    - [LAT007] (error) unsampled pairs in a measured matrix (partial
+    - [LAT007] (error) unsampled pairs: NaN off the diagonal (partial
       coverage must not reach a solver unannounced)
     - [LAT008] (warning) imputed (estimated, not measured) pairs in use
     - [LAT009] (warning) instances dropped for lack of coverage
@@ -29,7 +31,7 @@
     - [GRF006] (error) more application nodes than pool instances
     - [GRF007] (info) isolated nodes (never communicate)
     - [GRF008] (error) empty communication graph (no nodes or no edges)
-    - [CFG001] (error) non-positive solver time limit
+    - [CFG001] (error) solver time limit not finite and positive
     - [CFG002] (error) fewer than one portfolio domain
     - [CFG003] (warning) more portfolio domains than pool instances
     - [CFG004] (error) negative over-allocation ratio
@@ -37,7 +39,7 @@
 
     Per-entry matrix findings are aggregated: each code yields at most one
     diagnostic carrying the first offending location and the total count,
-    so a fully-NaN matrix produces one [LAT002], not n². *)
+    so a fully-NaN matrix produces one [LAT007], not n². *)
 
 val check_matrix :
   ?asymmetry_tolerance:float -> ?max_triangle_n:int -> float array array
@@ -47,7 +49,9 @@ val check_matrix :
     pair — measured RTTs are legitimately asymmetric (Sect. 3.1), so only
     gross asymmetry warns. The O(n³) triangle scan is skipped above
     [max_triangle_n] (default [128]) and whenever the matrix already has
-    errors (NaN would poison the comparisons). *)
+    errors (NaN would poison the comparisons). Off-diagonal NaN is an
+    unsampled pair: one [LAT007] gives their count and share of the
+    [n(n-1)] ordered pairs. A clean pass allocates nothing per entry. *)
 
 val check_edges : n:int -> (int * int) list -> Diagnostic.t list
 (** Validate a raw edge list before graph construction (the CLI path):
@@ -69,17 +73,11 @@ val check_config :
     checked, so callers pass exactly what their strategy uses. *)
 
 val check_partial :
-  ?context:string -> total:int -> missing:int -> imputed:int -> dropped:int
-  -> unit -> Diagnostic.t list
-(** Partial-measurement gate for matrices produced under faults. [total]
-    is the number of ordered pairs the matrix should cover, [missing] the
-    pairs with neither a measurement nor an estimate ([LAT007] error),
-    [imputed] the pairs filled by [Netmeasure.Completion] ([LAT008]
-    warning), [dropped] the instances discarded to restore full coverage
-    ([LAT009] warning). All-zero counts yield no diagnostics. *)
-
-val check_problem :
-  ?asymmetry_tolerance:float -> ?requires_dag:bool -> graph:Graphs.Digraph.t
-  -> costs:float array array -> unit -> Diagnostic.t list
-(** Full instance check: {!check_matrix} plus {!check_graph} with the pool
-    taken from the matrix dimension. This is the advisor's pre-solve gate. *)
+  ?context:string -> total:int -> imputed:int -> dropped:int -> unit
+  -> Diagnostic.t list
+(** How a partial measurement was completed. [total] is the number of
+    ordered pairs the matrix should cover, [imputed] the pairs filled by
+    [Netmeasure.Completion] ([LAT008] warning), [dropped] the instances
+    discarded to restore full coverage ([LAT009] warning). Zero counts
+    yield no diagnostics. Pairs left unsampled stay NaN in the matrix and
+    are {!check_matrix}'s [LAT007]. *)

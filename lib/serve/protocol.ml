@@ -72,6 +72,14 @@ let json_of_graph g =
   in
   Json.Obj [ ("n", Json.of_int (Graphs.Digraph.n g)); ("edges", Json.Arr edges) ]
 
+let to_float = function
+  | Json.Num s -> (try float_of_string s with Failure _ -> fail "bad number %S" s)
+  | _ -> fail "expected a number"
+
+let to_int = function
+  | Json.Num s -> (try int_of_string s with Failure _ -> fail "bad integer %S" s)
+  | _ -> fail "expected an integer"
+
 let graph_of_json j =
   let n = Json.int_field "n" j in
   let edges =
@@ -79,7 +87,7 @@ let graph_of_json j =
     | Some (Json.Arr es) ->
         List.map
           (function
-            | Json.Arr [ Json.Num u; Json.Num v ] -> (int_of_string u, int_of_string v)
+            | Json.Arr [ (Json.Num _ as u); (Json.Num _ as v) ] -> (to_int u, to_int v)
             | _ -> fail "graph edge must be a [src, dst] pair")
           es
     | _ -> fail "graph needs an \"edges\" array"
@@ -88,18 +96,22 @@ let graph_of_json j =
   with Invalid_argument m -> fail "bad graph: %s" m
 
 (* NaN marks unsampled pairs in latency matrices; JSON has no NaN literal,
-   so entries round-trip as null. *)
+   so entries round-trip as null. Infinities are a different finding
+   (LAT002, not LAT007), so they travel as overflowing literals, which
+   every IEEE parser reads back as ±inf. *)
+let json_of_cost c =
+  if Float.is_finite c || Float.is_nan c then Json.of_float c
+  else Json.Num (if c > 0.0 then "1e999" else "-1e999")
+
 let json_of_matrix m =
   let n = Lat_matrix.dim m in
-  let row i =
-    Json.Arr (List.init n (fun j -> Json.of_float (Lat_matrix.get m i j)))
-  in
+  let row i = Json.Arr (List.init n (fun j -> json_of_cost (Lat_matrix.get m i j))) in
   Json.Arr (List.init n row)
 
 let matrix_of_json j =
   let entry = function
-    | Json.Num s -> float_of_string s
     | Json.Null -> Float.nan
+    | Json.Num _ as v -> to_float v
     | _ -> fail "matrix entry must be a number or null"
   in
   match j with
@@ -139,14 +151,6 @@ let member_exn name j =
   match Json.member name j with
   | Some v -> v
   | None -> fail "missing field %S" name
-
-let to_float = function
-  | Json.Num s -> (try float_of_string s with Failure _ -> fail "bad number %S" s)
-  | _ -> fail "expected a number"
-
-let to_int = function
-  | Json.Num s -> (try int_of_string s with Failure _ -> fail "bad integer %S" s)
-  | _ -> fail "expected an integer"
 
 let opt_field conv name j =
   match Json.member name j with
@@ -218,7 +222,7 @@ let reply_of_json j =
         | Json.Arr cells ->
             Array.of_list
               (List.map
-                 (function Json.Num s -> int_of_string s | _ -> fail "plan entries must be ints")
+                 (function Json.Num _ as v -> to_int v | _ -> fail "plan entries must be ints")
                  cells)
         | _ -> fail "plan must be an array"
       in
@@ -243,7 +247,7 @@ let reply_of_json j =
             (List.map
                (fun (k, v) ->
                  match v with
-                 | Json.Num s -> (k, int_of_string s)
+                 | Json.Num _ -> (k, to_int v)
                  | _ -> fail "stats values must be ints")
                kvs)
       | _ -> fail "counters must be an object")

@@ -8,7 +8,7 @@
     arrive out of submission order and carry the job [id] for matching.
 
     Latency-matrix entries round-trip NaN (unsampled pairs) as JSON
-    [null]. *)
+    [null] and ±inf as the overflowing literals [1e999]/[-1e999]. *)
 
 exception Protocol_error of string
 (** Malformed frame, unknown variant tag, or an oversized frame. Framing
@@ -55,9 +55,10 @@ type reply =
   | Rejected of { j_id : string; reason : string }
       (** backpressure: the job never entered the queue *)
   | Failed of { j_id : string; message : string }
-      (** the job had an out-of-range field (refused before queueing:
-          [budget] finite and > 0, [deadline] > 0, [max_moves] and
-          [clusters] >= 1) or its solver raised *)
+      (** refused before queueing — an out-of-range field ([budget]
+          finite and > 0, [deadline] > 0, [max_moves] and [clusters]
+          >= 1) or a pre-solve gate error, whose codes the message names
+          — or its solver raised *)
   | Pong
   | Stats of (string * int) list
 

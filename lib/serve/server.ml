@@ -248,6 +248,24 @@ let invalid_field (job : Protocol.job) =
         else if below_one job.clusters then Some "invalid job: clusters must be >= 1"
         else None
 
+(* Then the instance itself goes through the advisor's pre-solve gate,
+   so a job the CLI would refuse never reaches a worker. *)
+let rejection (job : Protocol.job) =
+  match invalid_field job with
+  | Some _ as message -> message
+  | None -> (
+      match
+        Cloudia.Advisor.gate ~full:false (Some job.graph) (Some job.costs) job.objective
+          (Some (solver_of_job job))
+      with
+      | exception Invalid_argument m -> Some m
+      | ds -> (
+          match Lint.Diagnostic.errors ds with
+          | [] -> None
+          | errors ->
+              let named = List.map Lint.Diagnostic.to_string (Lint.Diagnostic.sort errors) in
+              Some ("invalid job: " ^ String.concat "; " named)))
+
 let enqueue t conn (job : Protocol.job) =
   let now = Obs.Clock.now_s () in
   let deadline =
@@ -285,7 +303,7 @@ let reader t conn () =
         reply conn (stats_reply t);
         loop ()
     | Some (Protocol.Advise job) ->
-        (match invalid_field job with
+        (match rejection job with
         | Some message -> reply conn (Protocol.Failed { j_id = job.id; message })
         | None -> enqueue t conn job);
         loop ()

@@ -3,7 +3,9 @@
 
     One accept thread and one reader thread per connection feed a bounded
     job queue drained by [domains] worker domains. A job with an
-    out-of-range field is answered [Failed] and never queued. A full
+    out-of-range field, or whose instance fails the pre-solve gate
+    ({!Cloudia.Advisor.gate}: the message names the codes), is answered
+    [Failed] and never queued. A full
     queue answers [Rejected] immediately (backpressure) instead of
     buffering; each job
     carries a deadline (its own or the server default) enforced both in

@@ -120,37 +120,64 @@ let test_no_over_allocation_permutation_only () =
 
 (* ---------- Malformed external data ---------- *)
 
+let codes ds = List.map (fun d -> d.Lint.Diagnostic.code) (Lint.Diagnostic.sort ds)
+
+(* Write [text] to a temporary costs file and read it back through the
+   one loader, as every [--costs-file] flag does. *)
+let load_text text =
+  let path = Filename.temp_file "cloudia-costs" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+      Matrix_io.load path)
+
+(* What [plan] does with a costs file: the loader, then the gate's
+   errors. A refusal is the error codes, or the loader's message. *)
+let admit text =
+  match load_text text with
+  | Error (`Msg e) -> Error [ e ]
+  | Error (`Lint ds) -> Error (codes ds)
+  | Ok lat -> (
+      match
+        Lint.Diagnostic.errors
+          (Advisor.gate ~full:false None (Some lat) Cost.Longest_link (Some Solver.Greedy_g1))
+      with
+      | [] -> Ok lat
+      | ds -> Error (codes ds))
+
 let test_matrix_io_roundtrip () =
   let m = [| [| 0.0; 1.25 |]; [| 0.5; 0.0 |] |] in
-  match Matrix_io.parse (Matrix_io.print m) with
-  | Error e -> Alcotest.fail e
+  match admit (Matrix_io.print m) with
+  | Error e -> Alcotest.fail (String.concat "; " e)
   | Ok m' ->
-      check_float "entry" 1.25 m'.(0).(1);
-      check_float "entry" 0.5 m'.(1).(0)
+      check_float "entry" 1.25 (Lat_matrix.get m' 0 1);
+      check_float "entry" 0.5 (Lat_matrix.get m' 1 0)
 
 let test_matrix_io_rejects_malformed () =
   let cases =
     [
-      ("", "empty");
-      ("0, 1\n2", "ragged");
-      ("0, 1\nx, 0", "non-numeric");
-      ("1, 1\n1, 0", "nonzero diagonal");
-      ("0, -1\n1, 0", "negative");
-      ("0, nan\n1, 0", "nan");
+      ("", "empty", None);
+      ("0, 1\n2", "ragged", Some "LAT001");
+      ("0, 1\nx, 0", "non-numeric", None);
+      ("1, 1\n1, 0", "nonzero diagonal", Some "LAT004");
+      ("0, -1\n1, 0", "negative", Some "LAT003");
+      ("0, nan\n1, 0", "nan", Some "LAT007");
     ]
   in
   List.iter
-    (fun (text, what) ->
-      match Matrix_io.parse text with
-      | Ok _ -> Alcotest.fail ("accepted " ^ what)
-      | Error _ -> ())
+    (fun (text, what, code) ->
+      match (admit text, code) with
+      | Ok _, _ -> Alcotest.fail ("accepted " ^ what)
+      | Error codes, Some code -> Alcotest.(check (list string)) what [ code ] codes
+      | Error _, None -> ())
     cases
 
 let test_matrix_io_comments_and_load () =
   let text = "# comment\n0, 2.5\n2.5, 0\n" in
-  (match Matrix_io.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok m -> check_float "value" 2.5 m.(0).(1));
+  (match admit text with
+  | Error e -> Alcotest.fail (String.concat "; " e)
+  | Ok m -> check_float "value" 2.5 (Lat_matrix.get m 0 1));
   match Matrix_io.load "/nonexistent/path.csv" with
   | Ok _ -> Alcotest.fail "loaded a missing file"
   | Error _ -> ()

@@ -375,39 +375,49 @@ let test_matrix_io_nan_roundtrip () =
     match Cloudia.Matrix_io.parse_raw text with
     | Ok m -> Float.is_nan m.(0).(1) && m.(1).(0) = 1.5
     | Error _ -> false);
-  (match Cloudia.Matrix_io.parse text with
-  | Ok _ -> Alcotest.fail "strict parse must reject nan"
-  | Error _ -> ());
+  Alcotest.(check (result reject (list string))) "the gate rejects nan" (Error [ "LAT007" ])
+    (Result.map ignore (Test_failure.admit text));
   (* Case-insensitive on input; full matrices still round-trip strictly. *)
   (match Cloudia.Matrix_io.parse_raw "0, NaN\n1.25, 0" with
   | Ok m -> Alcotest.(check bool) "NaN accepted" true (Float.is_nan m.(0).(1))
   | Error e -> Alcotest.fail e);
   let clean = [| [| 0.0; 0.25 |]; [| 0.5; 0.0 |] |] in
-  match Cloudia.Matrix_io.parse (Cloudia.Matrix_io.print clean) with
-  | Ok m -> Alcotest.(check (float 1e-9)) "clean roundtrip" 0.25 m.(0).(1)
-  | Error e -> Alcotest.fail e
+  match Test_failure.admit (Cloudia.Matrix_io.print clean) with
+  | Ok m -> Alcotest.(check (float 1e-9)) "clean roundtrip" 0.25 (Lat_matrix.get m 0 1)
+  | Error e -> Alcotest.fail (String.concat "; " e)
 
 let code_of (d : Lint.Diagnostic.t) = d.Lint.Diagnostic.code
 
 let test_check_partial_codes () =
-  let codes ~missing ~imputed ~dropped =
-    List.map code_of
-      (Lint.Instance.check_partial ~total:30 ~missing ~imputed ~dropped ())
+  let codes ~imputed ~dropped =
+    List.map code_of (Lint.Instance.check_partial ~total:30 ~imputed ~dropped ())
   in
-  Alcotest.(check (list string)) "clean" [] (codes ~missing:0 ~imputed:0 ~dropped:0);
-  Alcotest.(check (list string)) "missing errors" [ "LAT007" ]
-    (codes ~missing:3 ~imputed:0 ~dropped:0);
-  Alcotest.(check (list string)) "imputed warns" [ "LAT008" ]
-    (codes ~missing:0 ~imputed:4 ~dropped:0);
-  Alcotest.(check (list string)) "dropped warns" [ "LAT009" ]
-    (codes ~missing:0 ~imputed:0 ~dropped:2);
-  Alcotest.(check (list string)) "all three" [ "LAT007"; "LAT008"; "LAT009" ]
-    (codes ~missing:1 ~imputed:1 ~dropped:1);
-  let errs =
-    Lint.Diagnostic.errors (Lint.Instance.check_partial ~total:30 ~missing:1 ~imputed:1 ~dropped:1 ())
+  Alcotest.(check (list string)) "clean" [] (codes ~imputed:0 ~dropped:0);
+  Alcotest.(check (list string)) "imputed warns" [ "LAT008" ] (codes ~imputed:4 ~dropped:0);
+  Alcotest.(check (list string)) "dropped warns" [ "LAT009" ] (codes ~imputed:0 ~dropped:2);
+  Alcotest.(check (list string)) "both" [ "LAT008"; "LAT009" ] (codes ~imputed:1 ~dropped:1);
+  Alcotest.(check (list string)) "completion never errors" []
+    (List.map code_of
+       (Lint.Diagnostic.errors (Lint.Instance.check_partial ~total:30 ~imputed:1 ~dropped:1 ())));
+  (* Unsampled pairs are the matrix's own finding: 3 NaN pairs of the 30
+     in a 6×6 matrix give one LAT007 with the share and the policies. *)
+  let unsampled = [ (0, 1); (2, 5); (4, 3) ] in
+  let costs =
+    Array.init 6 (fun i ->
+        Array.init 6 (fun j ->
+            if i = j then 0.0 else if List.mem (i, j) unsampled then Float.nan else 1.0))
   in
-  Alcotest.(check (list string)) "only LAT007 is an error" [ "LAT007" ]
-    (List.map code_of errs)
+  match Lint.Instance.check_matrix costs with
+  | [ d ] ->
+      Alcotest.(check string) "missing errors" "LAT007" (code_of d);
+      Alcotest.(check bool) "is an error" true (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
+      Alcotest.(check string) "first pair" "costs[0][1]" d.Lint.Diagnostic.context;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) ("message names " ^ needle) true
+            (Test_lint.contains ~needle d.Lint.Diagnostic.message))
+        [ "3 of 30 ordered pairs (10.0%)"; "--on-missing impute"; "--on-missing drop" ]
+  | ds -> Alcotest.failf "expected one LAT007, got %d diagnostics" (List.length ds)
 
 (* Advisor end-to-end under a fault plan that kills instances 2 and 3 at
    t = 0 (fault seed 5, pinned above): Fail and Impute must refuse —

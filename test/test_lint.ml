@@ -9,6 +9,11 @@ let count_code code ds =
 
 let find_code code ds = List.find (fun d -> d.Lint.Diagnostic.code = code) ds
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -19,15 +24,24 @@ let test_matrix_clean () =
   check_int "no diagnostics" 0 (List.length (Lint.Instance.check_matrix costs))
 
 let test_matrix_nan_aggregated () =
-  (* A fully-NaN off-diagonal matrix must yield one LAT002, not n². *)
+  (* A fully-NaN off-diagonal matrix is all unsampled pairs: one LAT007,
+     not n². *)
   let n = 4 in
   let costs =
     Array.init n (fun i -> Array.init n (fun j -> if i = j then 0.0 else Float.nan))
   in
   let ds = Lint.Instance.check_matrix costs in
+  check_int "one LAT007" 1 (count_code "LAT007" ds);
+  check_int "no LAT002" 0 (count_code "LAT002" ds);
+  let d = find_code "LAT007" ds in
+  check_bool "is error" true (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
+  check_bool "counts every pair" true
+    (contains ~needle:"12 of 12 ordered pairs (100.0%)" d.Lint.Diagnostic.message);
+  (* Infinities, and NaN on the diagonal, are non-finite: LAT002. *)
+  let inf = [| [| 0.0; infinity |]; [| Float.neg_infinity; Float.nan |] |] in
+  let ds = Lint.Instance.check_matrix inf in
   check_int "one LAT002" 1 (count_code "LAT002" ds);
-  let d = find_code "LAT002" ds in
-  check_bool "is error" true (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error)
+  check_bool "diagonal NaN is not a pair" false (has_code "LAT007" ds)
 
 let test_matrix_negative_and_diag () =
   let costs = [| [| 0.0; -1.0 |]; [| 1.0; 3.0 |] |] in
@@ -121,6 +135,17 @@ let test_config_checks () =
        (Lint.Instance.check_config ~time_limit:1.0 ~domains:2 ~pool:4
           ~over_allocation:0.5 ~samples_per_pair:10 ()))
 
+let test_config_time_limit_finite () =
+  (* [nan <= 0.0] is false: a NaN or infinite budget must still be
+     refused, as the daemon refuses such a [budget]. *)
+  List.iter
+    (fun t ->
+      check_bool (Printf.sprintf "CFG001 for %g" t) true
+        (has_code "CFG001" (Lint.Instance.check_config ~time_limit:t ())))
+    [ Float.nan; infinity; Float.neg_infinity; 0.0; -1.0 ];
+  check_bool "a finite positive budget passes" false
+    (has_code "CFG001" (Lint.Instance.check_config ~time_limit:0.5 ()))
+
 (* ---------------- diagnostic plumbing ---------------- *)
 
 let test_check_raises_and_strict () =
@@ -137,11 +162,6 @@ let test_check_raises_and_strict () =
     | exception Lint.Diagnostic.Failed _ -> true
     | () -> false);
   Lint.Diagnostic.check ~strict:true [ info ]
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
 
 let test_sort_and_json () =
   let info = Lint.Diagnostic.make Lint.Diagnostic.Info ~code:"B1" ~context:"t" "i" in
@@ -313,6 +333,7 @@ let suite =
     Alcotest.test_case "graph disconnected" `Quick test_graph_disconnected_and_isolated;
     Alcotest.test_case "graph empty" `Quick test_graph_empty;
     Alcotest.test_case "config checks" `Quick test_config_checks;
+    Alcotest.test_case "config time limit finite" `Quick test_config_time_limit_finite;
     Alcotest.test_case "check strictness" `Quick test_check_raises_and_strict;
     Alcotest.test_case "sort and json" `Quick test_sort_and_json;
     Alcotest.test_case "json exact bytes" `Quick test_json_bytes;

@@ -131,6 +131,12 @@ let expect_protocol_error name f =
   | _ -> Alcotest.fail (name ^ ": expected Protocol_error")
   | exception Serve.Protocol.Protocol_error _ -> ()
 
+(* A job whose graph has an edge endpoint of 1.5. *)
+let non_integer_edge =
+  {|{"type":"advise","job":{"id":"x","tenant":"t","seed":1,"solver":"greedy",
+     "objective":"longest-link","budget":1.0,
+     "graph":{"n":2,"edges":[[0,1.5]]},"costs":[[0,1],[2,0]]}}|}
+
 let test_codec_rejects_garbage () =
   expect_protocol_error "non-object request" (fun () ->
       Serve.Protocol.request_of_json (Obs.Json.Str "nope"));
@@ -144,7 +150,9 @@ let test_codec_rejects_garbage () =
         (Obs.Json.parse
            {|{"type":"advise","id":"x","tenant":"t","seed":1,"solver":"greedy",
               "objective":"longest-link","budget":1.0,
-              "graph":{"n":2,"edges":[[0,1]]},"costs":[[0,1],[2]]}|}))
+              "graph":{"n":2,"edges":[[0,1]]},"costs":[[0,1],[2]]}|}));
+  expect_protocol_error "non-integer edge endpoint" (fun () ->
+      Serve.Protocol.request_of_json (Obs.Json.parse non_integer_edge))
 
 (* ---------- Framing ---------- *)
 
@@ -428,6 +436,110 @@ let test_invalid_fields_failed () =
   Alcotest.(check string) "valid job still answered" "ok" r.r_id;
   Alcotest.(check int) "only the valid job ran" (jobs_before + 1) (jobs ())
 
+let test_garbage_frame_answered () =
+  (* A frame the codec cannot decode gets one Failed reply and costs only
+     its own connection: the daemon answers the next one. *)
+  with_server "garbage" @@ fun sock ->
+  let c = Serve.Client.connect sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+      (* A reader that dies never answers: fail after 5 s, do not hang. *)
+      Unix.setsockopt_float (Serve.Client.raw_fd c) Unix.SO_RCVTIMEO 5.0;
+      Serve.Protocol.write_frame (Serve.Client.raw_fd c) non_integer_edge;
+      match Serve.Protocol.recv_reply (Serve.Client.raw_fd c) with
+      | Some (Serve.Protocol.Failed { message; _ }) ->
+          Alcotest.(check string) "names the bad integer" {|bad integer "1.5"|} message
+      | _ -> Alcotest.fail "expected one Failed reply");
+  let c2 = Serve.Client.connect sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c2) (fun () -> Serve.Client.ping c2)
+
+(* ---------- One gate for every entry point ---------- *)
+
+let codes ds = List.map (fun d -> d.Lint.Diagnostic.code) (Lint.Diagnostic.sort ds)
+
+(* The codes a daemon's Failed message names, in order. *)
+let codes_in message =
+  let rec go i acc =
+    match String.index_from_opt message i '[' with
+    | Some j when j >= 5 && String.sub message (j - 5) 5 = "error" ->
+        go (j + 1) (String.sub message (j + 1) 6 :: acc)
+    | Some j -> go (j + 1) acc
+    | None -> List.rev acc
+  in
+  go 0 []
+
+let matrix4 ?(cell12 = "2") ?(diag0 = "0") ?(cell01 = "1") () =
+  Printf.sprintf "%s, %s, 2, 3\n1, 0, %s, 2\n2, 1, 0, 1\n3, 2, 1, 0\n" diag0 cell01 cell12
+
+let matrix9 =
+  String.concat ""
+    (List.init 9 (fun i ->
+         String.concat ", "
+           (List.init 9 (fun j -> if i = j then "0" else string_of_int (1 + ((i + j) mod 4))))
+         ^ "\n"))
+
+(* Load through the loader, then optionally round-trip through the
+   binary format, as [cloudia convert] then [--costs-file x.lat] would. *)
+let load ~binary text =
+  match Test_failure.load_text text with
+  | Ok lat when binary ->
+      let path = Filename.temp_file "cloudia-costs" ".lat" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Cloudia.Matrix_io.save_binary path lat;
+          Cloudia.Matrix_io.load path)
+  | r -> r
+
+let test_entry_points_agree () =
+  let cases =
+    [
+      ("nan cell, csv", matrix4 ~cell12:"nan" (), false, "ring 4", Cloudia.Cost.Longest_link, [ "LAT007" ]);
+      ("nan cell, lat", matrix4 ~cell12:"nan" (), true, "ring 4", Cloudia.Cost.Longest_link, [ "LAT007" ]);
+      ("inf cell, csv", matrix4 ~cell12:"inf" (), false, "ring 4", Cloudia.Cost.Longest_link, [ "LAT002" ]);
+      ("-inf cell, lat", matrix4 ~cell12:"-inf" (), true, "ring 4", Cloudia.Cost.Longest_link, [ "LAT002" ]);
+      ("nonzero diagonal", matrix4 ~diag0:"1" (), false, "ring 4", Cloudia.Cost.Longest_link, [ "LAT004" ]);
+      ("negative entry", matrix4 ~cell01:"-1" (), false, "ring 4", Cloudia.Cost.Longest_link, [ "LAT003" ]);
+      ("ragged csv", "0, 1\n1\n", false, "ring 3", Cloudia.Cost.Longest_link, [ "LAT001" ]);
+      ("ring 3 under lp", matrix4 (), false, "ring 3", Cloudia.Cost.Longest_path, [ "GRF005" ]);
+      ("ring 12 on 9 instances", matrix9, false, "ring 12", Cloudia.Cost.Longest_link, [ "GRF006" ]);
+    ]
+  in
+  with_server "gate" @@ fun sock ->
+  let c = Serve.Client.connect sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  List.iter
+    (fun (name, text, binary, spec, objective, expected) ->
+      let check path got = Alcotest.(check (list string)) (name ^ ": " ^ path) expected got in
+      let graph = Result.get_ok (Graphs.Graph_io.parse_spec spec) in
+      match load ~binary text with
+      | Error (`Msg e) -> Alcotest.fail (name ^ ": " ^ e)
+      | Error (`Lint ds) ->
+          (* No square matrix to send: every entry point refuses it
+             locally, with the loader's finding. *)
+          check "loader" (codes ds)
+      | Ok lat ->
+          let gate ~full =
+            Lint.Diagnostic.errors
+              (Cloudia.Advisor.gate ~full (Some graph) (Some lat) objective
+                 (Some Cloudia.Solver.Greedy_g2))
+          in
+          (* plan gates before building the problem; an instance
+             [Types.of_matrix] accepts goes to [Advisor.search]. *)
+          check "plan"
+            (match Cloudia.Types.of_matrix ~graph lat with
+            | exception Invalid_argument _ -> codes (gate ~full:false)
+            | problem -> (
+                match
+                  Cloudia.Advisor.search (Prng.create 1) Cloudia.Solver.Greedy_g2 objective problem
+                with
+                | exception Lint.Diagnostic.Failed ds -> codes ds
+                | _ -> []));
+          check "lint" (codes (gate ~full:true));
+          (match Serve.Client.advise c (job ~id:name ~objective ~graph ~costs:lat ()) with
+          | Serve.Protocol.Failed { message; _ } -> check "daemon" (codes_in message)
+          | _ -> Alcotest.fail (name ^ ": the daemon must refuse the job")))
+    cases
+
 let test_expired_deadline_rejected () =
   with_server "dl" @@ fun sock ->
   let c = Serve.Client.connect sock in
@@ -480,6 +592,8 @@ let suite =
     Alcotest.test_case "end-to-end memo and warm" `Quick test_end_to_end_memo_and_warm;
     Alcotest.test_case "solver failure replied" `Quick test_solver_failure_is_replied;
     Alcotest.test_case "invalid fields failed" `Quick test_invalid_fields_failed;
+    Alcotest.test_case "garbage frame answered" `Quick test_garbage_frame_answered;
+    Alcotest.test_case "entry points agree" `Quick test_entry_points_agree;
     Alcotest.test_case "expired deadline rejected" `Quick test_expired_deadline_rejected;
     Alcotest.test_case "survives client disconnect" `Quick test_survives_client_disconnect;
   ]
