@@ -45,11 +45,14 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (runs a
    infinities, which JSON cannot spell, become null. *)
 let num6 f = if Float.is_finite f then Obs.Json.Num (Printf.sprintf "%.6g" f) else Obs.Json.Null
 
-(* Full %.17g precision: two runs producing bit-identical float64 costs
-   produce byte-identical reports, which is what the CI equivalence gate
-   diffs. *)
+(* Full %.17g precision, through the one float printer: two runs
+   producing bit-identical float64 costs produce byte-identical reports,
+   which is what the CI equivalence gate diffs. NaN prints as the string
+   "nan" and the infinities as sprintf spells them. *)
 let num17 f =
-  if Float.is_nan f then Obs.Json.Str "nan" else Obs.Json.Num (Printf.sprintf "%.17g" f)
+  if Float.is_nan f then Obs.Json.Str "nan"
+  else if Float.is_finite f then Obs.Json.of_float f
+  else Obs.Json.Num (if f > 0.0 then "inf" else "-inf")
 
 let ints l = Obs.Json.Arr (List.map Obs.Json.of_int l)
 

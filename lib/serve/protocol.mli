@@ -69,6 +69,12 @@ val request_of_json : Obs.Json.t -> request
 val json_of_reply : reply -> Obs.Json.t
 val reply_of_json : Obs.Json.t -> reply
 
+val matrix_of_json : Obs.Json.t -> Lat_matrix.t
+(** Decodes entries straight into a fresh matrix; raises
+    {!Protocol_error} on a non-array, a row that is not an array, a
+    non-square matrix or an entry that is neither a number nor [null],
+    whichever comes first in reading order. *)
+
 (** {2 Framing} *)
 
 val write_frame : Unix.file_descr -> string -> unit

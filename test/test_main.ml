@@ -24,4 +24,5 @@ let () =
       ("lat-matrix", Test_latmat.suite);
       ("faults", Test_faults.suite);
       ("serve", Test_serve.suite);
+      ("codec", Test_codec.suite);
     ]

@@ -210,6 +210,31 @@ let test_recv_rejects_malformed_json () =
   expect_protocol_error "malformed request payload" (fun () ->
       Serve.Protocol.recv_request b)
 
+(* Frames too large for the minor heap go through reused buffers: a
+   frame, a larger one, then a smaller one read into the larger buffer
+   all decode to what was sent, and a malformed frame in between leaves
+   the next one readable. *)
+let test_large_frames_reuse_buffers () =
+  with_socketpair @@ fun a b ->
+  let costs n =
+    Lat_matrix.init n (fun i j -> if i = j then 0.0 else 0.25 +. float_of_int (((7 * i) + j) mod 13))
+  in
+  let jobs = List.map (fun n -> job ~id:(string_of_int n) ~costs:(costs n) ()) [ 30; 60; 25 ] in
+  let send j = Serve.Protocol.send_request a (Serve.Protocol.Advise j) in
+  List.iter send jobs;
+  Serve.Protocol.write_frame a (String.make 5000 '[');
+  send (List.hd jobs);
+  let expect (j : Serve.Protocol.job) =
+    match Serve.Protocol.recv_request b with
+    | Some (Serve.Protocol.Advise back) ->
+        Alcotest.(check string) "id" j.id back.id;
+        Alcotest.(check bool) (j.id ^ " costs") true (Lat_matrix.equal j.costs back.costs)
+    | _ -> Alcotest.fail "expected an advise request"
+  in
+  List.iter expect jobs;
+  expect_protocol_error "malformed large frame" (fun () -> Serve.Protocol.recv_request b);
+  expect (List.hd jobs)
+
 (* ---------- LRU ---------- *)
 
 let test_lru_eviction_order () =
@@ -583,6 +608,7 @@ let suite =
     Alcotest.test_case "framing EOF mid-frame" `Quick test_framing_eof_mid_frame;
     Alcotest.test_case "framing rejects oversized" `Quick test_framing_rejects_oversized;
     Alcotest.test_case "recv rejects malformed json" `Quick test_recv_rejects_malformed_json;
+    Alcotest.test_case "large frames reuse buffers" `Quick test_large_frames_reuse_buffers;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru replace" `Quick test_lru_replace_no_eviction;
     Alcotest.test_case "lru mem does not promote" `Quick test_lru_mem_does_not_promote;
