@@ -42,9 +42,9 @@ let literal c word v =
   done;
   v
 
-(* Escapes, from just after the opening quote; [b] holds what was read
-   before the first backslash. *)
-let parse_escaped c b =
+let parse_string c =
+  expect c '"';
+  let b = Buffer.create 16 in
   let add ch =
     Buffer.add_char b ch;
     c.pos <- c.pos + 1
@@ -86,29 +86,6 @@ let parse_escaped c b =
   in
   go ();
   Buffer.contents b
-
-(* The first quote or backslash at or after [i], or [n]. *)
-let[@cloudia.hot] plain_end s i n =
-  let i = ref i in
-  while !i < n && match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true do
-    incr i
-  done;
-  !i
-
-let parse_string c =
-  expect c '"';
-  let start = c.pos in
-  let stop = plain_end c.s start c.n in
-  if stop < c.n && String.unsafe_get c.s stop = '"' then begin
-    c.pos <- stop + 1;
-    String.sub c.s start (stop - start)
-  end
-  else begin
-    let b = Buffer.create (stop - start + 16) in
-    Buffer.add_substring b c.s start (stop - start);
-    c.pos <- stop;
-    parse_escaped c b
-  end
 
 let[@inline] is_digit ch = ch >= '0' && ch <= '9'
 
@@ -359,7 +336,11 @@ let[@cloudia.hot] layout17 ~neg d e =
      [dot] (17: no point) *)
   let ndig = if e >= nsig then e + 1 else nsig in
   let start = if e < 0 && not expo then sign + 1 - e else sign in
-  let dot = if expo then (if nsig > 1 then 1 else 17) else if e >= 0 && nsig > e + 1 then e + 1 else 17 in
+  let dot =
+    if expo then if nsig > 1 then 1 else 17
+    else if e >= 0 && nsig > e + 1 then e + 1
+    else 17
+  in
   let digits_end = start + ndig + if dot < 17 then 1 else 0 in
   let b = Bytes.create (if expo then digits_end + 4 else digits_end) in
   if neg then Bytes.unsafe_set b 0 '-';
@@ -371,7 +352,8 @@ let[@cloudia.hot] layout17 ~neg d e =
   if dot < 17 then Bytes.unsafe_set b (start + dot) '.';
   let t = ref (d / ipow10.(17 - ndig)) and p = ref (ndig - 1) in
   while !p >= 0 do
-    Bytes.unsafe_set b (start + !p + if !p >= dot then 1 else 0) (Char.unsafe_chr (48 + (!t mod 10)));
+    let o = start + !p + if !p >= dot then 1 else 0 in
+    Bytes.unsafe_set b o (Char.unsafe_chr (48 + (!t mod 10)));
     t := !t / 10;
     decr p
   done;

@@ -22,14 +22,13 @@ val parse : ?len:int -> string -> t
 (** Parse one JSON value from the first [len] bytes of the string
     (default: all of it); raises {!Bad} on syntax errors or trailing
     garbage, with the byte offset in the message, and
-    [Invalid_argument] if [len] is outside the string. Unicode escapes above
-    0x7f are preserved only approximately (the exporters never emit
-    them).
+    [Invalid_argument] if [len] is outside the string. Unicode escapes
+    above 0x7f are preserved only approximately (the exporters never
+    emit them).
 
-    The scan allocates nothing per byte: only the values it returns
-    (each string and number literal is one [String.sub]). A number is a
-    maximal run of [0-9+-.eE] that must be, as a whole, a literal
-    [float_of_string_opt] accepts —
+    The scan allocates nothing per byte, only the values it returns.
+    A number is a maximal run of [0-9+-.eE] that must be, as a whole, a
+    literal [float_of_string_opt] accepts —
     [[+-]? (D+ ('.' D* )? | '.' D+) ([eE] [+-]? D+)?] — which is checked
     lexically, so the string is converted once, by whichever accessor
     reads it. Overflowing literals such as [1e999] are accepted (they

@@ -26,7 +26,8 @@ let test_of_float_random () =
     let x =
       if i land 3 = 0 then Int64.float_of_bits bits
       else
-        let m = Int64.float_of_bits (Int64.logor 0x3ff0000000000000L (Int64.logand bits 0xfffffffffffffL)) in
+        let mantissa = Int64.logand bits 0xfffffffffffffL in
+        let m = Int64.float_of_bits (Int64.logor 0x3ff0000000000000L mantissa) in
         let x = Float.ldexp m (Random.State.int rng 81 - 24) in
         if Int64.logand bits Int64.min_int <> 0L then -.x else x
     in
@@ -85,7 +86,9 @@ let test_number_language () =
   let rec gen len pos =
     if pos = len then begin
       let s = Bytes.sub_string buf 0 len in
-      let accepted = match Json.parse s with Json.Num r -> r = s | _ -> false | exception Json.Bad _ -> false in
+      let accepted =
+        match Json.parse s with Json.Num r -> r = s | _ -> false | exception Json.Bad _ -> false
+      in
       if accepted <> Option.is_some (float_of_string_opt s) then
         Alcotest.failf "%S: parse %s, float_of_string_opt %s" s
           (if accepted then "accepts" else "rejects")
@@ -139,7 +142,9 @@ let describe = function
 (* Both matrix decoders on one subtree: the same matrix bit for bit, or
    the same Protocol_error. *)
 let check_matrix_decoders tree =
-  let run decode = match decode tree with m -> Ok m | exception Serve.Protocol.Protocol_error e -> Error e in
+  let run decode =
+    match decode tree with m -> Ok m | exception Serve.Protocol.Protocol_error e -> Error e
+  in
   match (run Serve.Protocol.matrix_of_json, run Ref.Matrix.of_json) with
   | Ok m, Ok m' -> if not (Lat_matrix.equal m m') then Alcotest.fail "matrix decoders disagree"
   | Error e, Error e' -> Alcotest.(check string) "matrix error" e' e
@@ -170,9 +175,13 @@ let test_mutated_frames () =
       Buffer.clear b;
       Buffer.add_string b (String.sub t 0 i);
       (match Random.State.int rng 3 with
-      | 0 -> Buffer.add_char b (pick ()); Buffer.add_string b (String.sub t (i + 1) (String.length t - i - 1))
+      | 0 ->
+          Buffer.add_char b (pick ());
+          Buffer.add_string b (String.sub t (i + 1) (String.length t - i - 1))
       | 1 -> Buffer.add_string b (String.sub t (i + 1) (String.length t - i - 1))
-      | _ -> Buffer.add_char b (pick ()); Buffer.add_string b (String.sub t i (String.length t - i)));
+      | _ ->
+          Buffer.add_char b (pick ());
+          Buffer.add_string b (String.sub t i (String.length t - i)));
       s := Buffer.contents b
     done;
     !s
@@ -282,7 +291,9 @@ let test_matrix_roundtrip () =
 (* Random documents: the writer's bytes equal the reference writer's. *)
 let test_writer_matches_reference () =
   let rng = Random.State.make [| 11 |] in
-  let str () = String.init (Random.State.int rng 6) (fun _ -> Char.chr (Random.State.int rng 128)) in
+  let str () =
+    String.init (Random.State.int rng 6) (fun _ -> Char.chr (Random.State.int rng 128))
+  in
   let rec value depth =
     match Random.State.int rng (if depth = 0 then 5 else 7) with
     | 0 -> Json.Null
@@ -314,8 +325,11 @@ let test_writer_matches_reference () =
    with the reference codec; the gate is a third of their sum. *)
 let test_codec_allocation () =
   let rng = Random.State.make [| 77 |] in
-  let costs = Lat_matrix.init 77 (fun i j -> if i = j then 0.0 else 0.2 +. Random.State.float rng 1.8) in
-  let req = Serve.Protocol.Advise { (job costs) with graph = Graphs.Templates.mesh2d ~rows:8 ~cols:8 } in
+  let costs =
+    Lat_matrix.init 77 (fun i j -> if i = j then 0.0 else 0.2 +. Random.State.float rng 1.8)
+  in
+  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
+  let req = Serve.Protocol.Advise { (job costs) with graph = mesh } in
   let round () =
     let text = Json.to_string (Serve.Protocol.json_of_request req) in
     ignore (Serve.Protocol.request_of_json (Json.parse text) : Serve.Protocol.request)

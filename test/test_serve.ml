@@ -217,7 +217,8 @@ let test_recv_rejects_malformed_json () =
 let test_large_frames_reuse_buffers () =
   with_socketpair @@ fun a b ->
   let costs n =
-    Lat_matrix.init n (fun i j -> if i = j then 0.0 else 0.25 +. float_of_int (((7 * i) + j) mod 13))
+    Lat_matrix.init n (fun i j ->
+        if i = j then 0.0 else 0.25 +. float_of_int (((7 * i) + j) mod 13))
   in
   let jobs = List.map (fun n -> job ~id:(string_of_int n) ~costs:(costs n) ()) [ 30; 60; 25 ] in
   let send j = Serve.Protocol.send_request a (Serve.Protocol.Advise j) in
