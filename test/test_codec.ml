@@ -77,8 +77,8 @@ let test_of_float_edges () =
 
 (* Every run of up to 5 characters from [0-9+-.eE], 813,615 strings:
    [parse] must return it as one number exactly when
-   [float_of_string_opt] accepts it, and raise the parent's message
-   otherwise. *)
+   [float_of_string_opt] accepts it, and raise the reference parser's
+   message otherwise. *)
 let test_number_language () =
   let alphabet = "0123456789+-.eE" in
   let k = String.length alphabet in
@@ -255,8 +255,9 @@ let job costs =
     costs;
   }
 
-(* The parent's frame text: the same document with its costs written by
-   the reference encoder, all of it by the reference writer. *)
+(* The reference codec's frame text: the same document with its costs
+   written by the reference encoder, all of it by the reference
+   writer. *)
 let reference_text req =
   match Serve.Protocol.json_of_request req with
   | Json.Obj [ t; ("job", Json.Obj fields) ] ->
