@@ -551,63 +551,53 @@ let plan_cmd_run seed costs_file graph_spec objective_name strategy_name time_li
         | Error (`Msg m) -> Error m
         | Ok strategy -> (
             match
-              Lint.Diagnostic.errors
-                (Cloudia.Advisor.gate ~full:false (Some graph) (Some costs) objective
-                   (Some strategy))
+              Cloudia.Advisor.solve ~full:false (Prng.create seed) strategy objective graph costs
             with
             | exception Invalid_argument m -> Error m
-            | [] -> Ok (objective, strategy, Cloudia.Types.of_matrix ~graph costs)
-            | ds ->
+            | exception Lint.Diagnostic.Failed ds ->
                 Error
-                  (Format.asprintf "%aplan: blocked by lint errors" Lint.Diagnostic.render ds)))
+                  (Format.asprintf "%aplan: blocked by lint errors" Lint.Diagnostic.render
+                     (Lint.Diagnostic.errors ds))
+            | s -> Ok (objective, s)))
   with
   | Error e ->
       prerr_endline e;
       2
-  | Ok (objective, strategy, problem) -> (
-      match Cloudia.Advisor.search (Prng.create seed) strategy objective problem with
-      | exception Invalid_argument m ->
-          prerr_endline m;
-          2
-      | plan ->
-          let default = Cloudia.Types.identity_plan problem in
-          let cost = Cloudia.Cost.eval objective problem plan in
-          let default_cost = Cloudia.Cost.eval objective problem default in
-          let unused = Cloudia.Types.unused_instances problem plan in
-          if json then begin
-            print_json
-              (Obs.Json.Obj
-                 [
-                   ("instances", Obs.Json.of_int (Cloudia.Types.instance_count problem));
-                   ("nodes", Obs.Json.of_int (Cloudia.Types.node_count problem));
-                   ("objective", Obs.Json.Str (Cloudia.Cost.objective_to_string objective));
-                   ("seed", Obs.Json.of_int seed);
-                   ("default_cost_ms", num17 default_cost);
-                   ("optimized_cost_ms", num17 cost);
-                   ( "improvement_pct",
-                     num17 (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
-                   );
-                   ("plan", ints (Array.to_list plan));
-                   ("terminate", ints unused);
-                 ])
-          end
-          else begin
-            Printf.printf "instances      : %d\n" (Cloudia.Types.instance_count problem);
-            Printf.printf "nodes          : %d\n" (Cloudia.Types.node_count problem);
-            Printf.printf "objective      : %s\n"
-              (Cloudia.Cost.objective_to_string objective);
-            Printf.printf "default cost   : %.3f ms\n" default_cost;
-            Printf.printf "optimized cost : %.3f ms (%.1f%% better)\n" cost
-              (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost);
-            Printf.printf "plan           : %s\n"
-              (Format.asprintf "%a" Cloudia.Types.pp_plan plan);
-            match unused with
-            | [] -> ()
-            | unused ->
-                Printf.printf "terminate      : instances %s\n"
-                  (String.concat ", " (List.map string_of_int unused))
-          end;
-          0)
+  | Ok (objective, { Cloudia.Advisor.problem; plan; cost; default_cost; unused; _ }) ->
+      if json then begin
+        print_json
+          (Obs.Json.Obj
+             [
+               ("instances", Obs.Json.of_int (Cloudia.Types.instance_count problem));
+               ("nodes", Obs.Json.of_int (Cloudia.Types.node_count problem));
+               ("objective", Obs.Json.Str (Cloudia.Cost.objective_to_string objective));
+               ("seed", Obs.Json.of_int seed);
+               ("default_cost_ms", num17 default_cost);
+               ("optimized_cost_ms", num17 cost);
+               ( "improvement_pct",
+                 num17 (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost)
+               );
+               ("plan", ints (Array.to_list plan));
+               ("terminate", ints unused);
+             ])
+      end
+      else begin
+        Printf.printf "instances      : %d\n" (Cloudia.Types.instance_count problem);
+        Printf.printf "nodes          : %d\n" (Cloudia.Types.node_count problem);
+        Printf.printf "objective      : %s\n"
+          (Cloudia.Cost.objective_to_string objective);
+        Printf.printf "default cost   : %.3f ms\n" default_cost;
+        Printf.printf "optimized cost : %.3f ms (%.1f%% better)\n" cost
+          (Cloudia.Cost.improvement ~default:default_cost ~optimized:cost);
+        Printf.printf "plan           : %s\n"
+          (Format.asprintf "%a" Cloudia.Types.pp_plan plan);
+        match unused with
+        | [] -> ()
+        | unused ->
+            Printf.printf "terminate      : instances %s\n"
+              (String.concat ", " (List.map string_of_int unused))
+      end;
+      0
 
 let plan_cmd =
   let costs_arg =
@@ -750,7 +740,7 @@ let convert_run input output storage_name =
             else
               Out_channel.with_open_text output (fun oc ->
                   Out_channel.output_string oc
-                    (Cloudia.Matrix_io.print (Lat_matrix.to_arrays lat)))
+                    (Cloudia.Matrix_io.print lat))
           with
           | exception Sys_error e ->
               prerr_endline ("convert: " ^ e);

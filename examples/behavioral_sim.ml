@@ -37,7 +37,9 @@ let () =
       let plan =
         match strategy with
         | None -> default_plan
-        | Some s -> Cloudia.Advisor.search rng s Cloudia.Cost.Longest_link problem
+        | Some s ->
+            (Cloudia.Advisor.solve ~full:false rng s Cloudia.Cost.Longest_link graph costs)
+              .Cloudia.Advisor.plan
       in
       let ll = Cloudia.Cost.longest_link problem plan in
       let time =

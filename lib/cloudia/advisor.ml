@@ -24,6 +24,18 @@ let on_missing_to_string = function
   | Impute -> "impute"
   | Drop_instance -> "drop"
 
+type solved = {
+  problem : Types.problem;
+  plan : Types.plan;
+  default_plan : Types.plan;
+  cost : float;
+  default_cost : float;
+  search_seconds : float;
+  unused : int list;
+  telemetry : telemetry;
+  diagnostics : Lint.Diagnostic.t list;
+}
+
 type report = {
   env : Cloudsim.Env.t;
   problem : Types.problem;
@@ -52,9 +64,7 @@ let gate ~full graph lat objective strategy =
   (match lat with
    | None -> []
    | Some lat ->
-       Lint.Instance.check_matrix
-         ?max_triangle_n:(if full then None else Some 0)
-         (Lat_matrix.to_arrays lat))
+       Lint.Instance.check_lat ?max_triangle_n:(if full then None else Some 0) lat)
   @ (match graph with
      | None -> []
      | Some graph ->
@@ -69,27 +79,43 @@ let gate ~full graph lat objective strategy =
       Lint.Instance.check_config ?time_limit:(Solver.time_limit s)
         ?domains:(strategy_domains s) ?pool ()
 
-let search_with_telemetry rng strategy objective problem =
-  Lint.Diagnostic.check
-    (Lint.Diagnostic.errors
-       (gate ~full:false (Some problem.Types.graph) (Some problem.Types.lat) objective
-          (Some strategy)));
-  let before = Obs.Counter.snapshot () in
-  let o = Solver.run strategy rng objective problem in
-  ( o.Solver.plan,
-    {
-      strategy_name = Solver.name strategy;
-      solver = o.Solver.stats;
-      stop_reason = o.Solver.stop_reason;
-      incumbent_trace = o.Solver.trace;
-      winner =
-        Option.map (fun i -> (List.nth o.Solver.members i).Solver.member_name) o.Solver.winner;
-      members = o.Solver.members;
-      counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ());
-    } )
-
-let search rng strategy objective problem =
-  fst (search_with_telemetry rng strategy objective problem)
+let solve ?(strict_lint = false) ?(diagnostics = []) ~full rng strategy objective graph
+    lat =
+  let diagnostics = diagnostics @ gate ~full (Some graph) (Some lat) objective (Some strategy) in
+  Lint.Diagnostic.check ~strict:strict_lint diagnostics;
+  let problem = Types.of_matrix ~graph lat in
+  let started = Obs.Clock.now_s () in
+  let o, counters =
+    Obs.Resource.with_ "search" @@ fun () ->
+    let before = Obs.Counter.snapshot () in
+    let o = Solver.run strategy rng objective problem in
+    (o, Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ()))
+  in
+  let search_seconds = Obs.Clock.now_s () -. started in
+  let plan = o.Solver.plan in
+  Types.validate problem plan;
+  let default_plan = Types.identity_plan problem in
+  {
+    problem;
+    plan;
+    default_plan;
+    cost = Cost.eval objective problem plan;
+    default_cost = Cost.eval objective problem default_plan;
+    search_seconds;
+    unused = Types.unused_instances problem plan;
+    telemetry =
+      {
+        strategy_name = Solver.name strategy;
+        solver = o.Solver.stats;
+        stop_reason = o.Solver.stop_reason;
+        incumbent_trace = o.Solver.trace;
+        winner =
+          Option.map (fun i -> (List.nth o.Solver.members i).Solver.member_name) o.Solver.winner;
+        members = o.Solver.members;
+        counters;
+      };
+    diagnostics;
+  }
 
 (* Staged-scheme effort matching [samples_per_pair]: each matched pair
    exchanges [ks] probes per stage, and a pair is matched in one of the
@@ -174,50 +200,31 @@ let run ?(strict_lint = false) ?(faults = Cloudsim.Faults.none)
           (Lat_matrix.of_arrays sub, minutes, cov, kept, dropped, diags)
     end
   in
-  (* Post-measurement gate on the matrix the solver will actually see:
-     unsampled pairs (LAT007), data quality, and the pool-aware checks the
-     first gate could not run — a pool that dropping shrank below the node
-     set fails as GRF006. *)
-  let diagnostics =
-    partial_diags
-    @ gate ~full:true (Some config.graph) (Some costs) config.objective
-        (Some config.strategy)
+  (* Steps 3 and 4 on the matrix the solver will actually see: the gate
+     catches unsampled pairs (LAT007), data quality, and the pool-aware
+     checks the first gate could not run — a pool that dropping shrank
+     below the node set fails as GRF006. The instances to terminate are
+     the ones the plan leaves unused, in original allocation numbering,
+     together with any dropped for lack of measurement coverage. *)
+  let s =
+    solve ~strict_lint ~diagnostics:partial_diags ~full:true rng config.strategy
+      config.objective config.graph costs
   in
-  Lint.Diagnostic.check ~strict:strict_lint diagnostics;
-  let problem = Types.of_matrix ~graph:config.graph costs in
-  (* Step 3: search. *)
-  let started = Obs.Clock.now_s () in
-  let plan, telemetry =
-    Obs.Resource.with_ "search" @@ fun () ->
-    search_with_telemetry rng config.strategy config.objective problem
-  in
-  let search_seconds = Obs.Clock.now_s () -. started in
-  Types.validate problem plan;
-  let default_plan = Types.identity_plan problem in
-  let cost = Cost.eval config.objective problem plan in
-  let default_cost = Cost.eval config.objective problem default_plan in
-  (* Step 4: terminate the instances the plan does not use — in original
-     allocation numbering, together with any instance dropped for lack of
-     measurement coverage. [kept] is the identity whenever nothing was
-     dropped, making this exactly [unused_instances] as before. *)
-  let terminated =
-    List.sort Int.compare
-      (List.map (fun s -> kept.(s)) (Types.unused_instances problem plan) @ dropped)
-  in
+  let terminated = List.sort Int.compare (List.map (fun i -> kept.(i)) s.unused @ dropped) in
   {
     env;
-    problem;
-    plan;
-    default_plan;
-    cost;
-    default_cost;
-    improvement_pct = Cost.improvement ~default:default_cost ~optimized:cost;
+    problem = s.problem;
+    plan = s.plan;
+    default_plan = s.default_plan;
+    cost = s.cost;
+    default_cost = s.default_cost;
+    improvement_pct = Cost.improvement ~default:s.default_cost ~optimized:s.cost;
     measurement_minutes;
-    search_seconds;
+    search_seconds = s.search_seconds;
     terminated;
     kept;
     dropped;
     measurement_coverage;
-    telemetry;
-    diagnostics;
+    telemetry = s.telemetry;
+    diagnostics = s.diagnostics;
   }

@@ -56,6 +56,21 @@ type telemetry = {
           zero deltas omitted *)
 }
 
+type solved = {
+  problem : Types.problem;         (** the gated matrix + communication graph *)
+  plan : Types.plan;
+  default_plan : Types.plan;       (** node [i] on instance [i] *)
+  cost : float;                    (** the plan's cost under the objective *)
+  default_cost : float;            (** the default plan's cost *)
+  search_seconds : float;          (** wall-clock spent in the strategy *)
+  unused : int list;               (** instances the plan leaves empty,
+                                       ascending: the ones to terminate *)
+  telemetry : telemetry;
+  diagnostics : Lint.Diagnostic.t list;
+      (** the findings passed in plus the gate's, none of them blocking *)
+}
+(** What the post-measurement step ({!solve}) returns. *)
+
 type report = {
   env : Cloudsim.Env.t;            (** the allocation (before termination) *)
   problem : Types.problem;         (** measured costs + communication graph *)
@@ -90,9 +105,12 @@ val gate :
   full:bool -> Graphs.Digraph.t option -> Lat_matrix.t option -> Cost.objective
   -> Solver.t option -> Lint.Diagnostic.t list
 (** The pre-solve gate: every {!Lint.Instance} finding for an instance.
-    [plan], [lint], [advise] and the daemon all check through it.
+    [plan], [lint], [advise] and the daemon all check through it, and
+    each checks a matrix once: [plan] and [advise] in {!solve}, [lint]
+    directly, the daemon's reader before it queues a job.
 
-    - matrix checks [LAT001]–[LAT007] (an off-diagonal NaN is an unsampled
+    - matrix checks [LAT002]–[LAT007] in place
+      ({!Lint.Instance.check_lat}; an off-diagonal NaN is an unsampled
       pair, [LAT007]);
     - graph checks [GRF004]–[GRF008], acyclicity under the longest-path
       objective, with the pool taken from the matrix;
@@ -108,12 +126,14 @@ val gate :
 val run :
   ?strict_lint:bool -> ?faults:Cloudsim.Faults.t -> ?on_missing:on_missing
   -> Prng.t -> Cloudsim.Provider.t -> config -> report
-(** Raises [Lint.Diagnostic.Failed] when {!gate} finds an error in the
-    configuration and graph before allocation (together with the
-    over-allocation and sampling checks [CFG004]/[CFG005]), or in the
-    measured cost matrix after measurement — with [~strict_lint:true],
-    warnings block too. Raises [Invalid_argument] when the strategy
-    cannot handle the objective ({!Solver.supports}). The
+(** Gates the configuration and graph before allocation, then runs
+    {!solve} ([~full:true]) on the measured matrix. Raises
+    [Lint.Diagnostic.Failed] when {!gate} finds an error in the
+    configuration and graph (together with the over-allocation and
+    sampling checks [CFG004]/[CFG005]), or in the measured cost matrix —
+    with [~strict_lint:true], warnings block too. Raises
+    [Invalid_argument] when the strategy cannot handle the objective
+    ({!Solver.supports}). The
     allocate / measure / search steps run under {!Obs.Span}s of those
     names (nested in an ["advise"] root), so [--trace] output shows where
     the tuning budget went.
@@ -127,14 +147,18 @@ val run :
     the [Mean] metric only (raises [Invalid_argument] otherwise): the
     probe schemes keep running sums, not sample distributions. *)
 
-val search : Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan
-(** Just step 3: run a strategy on an existing problem. *)
-
-val search_with_telemetry :
-  Prng.t -> Solver.t -> Cost.objective -> Types.problem -> Types.plan * telemetry
-(** Like {!search} but also returns the solver statistics, incumbent trace
-    and counter deltas the plain interface drops. Both run {!gate} on the
-    problem first and raise [Lint.Diagnostic.Failed] on an error-severity
-    finding (e.g. a cyclic graph under the longest-path objective, which
-    would otherwise surface as an unguarded exception deep inside
-    {!Cost}). *)
+val solve :
+  ?strict_lint:bool -> ?diagnostics:Lint.Diagnostic.t list -> full:bool -> Prng.t -> Solver.t
+  -> Cost.objective -> Graphs.Digraph.t -> Lat_matrix.t -> solved
+(** Everything after measurement, for a matrix from any source: {!gate}
+    (with [full] as there), then {!Lint.Diagnostic.check} on
+    [diagnostics] (default [[]], findings made earlier, e.g. [LAT008])
+    together with the gate's findings — raising
+    [Lint.Diagnostic.Failed] on an error or, with [~strict_lint:true]
+    (default [false]), a warning — then {!Types.of_matrix}, the strategy
+    under an {!Obs.Span} named ["search"] with its telemetry and counter
+    deltas, {!Types.validate} on the plan, and the costs of the plan and
+    the default plan. {!run} calls it on the measured matrix and
+    [cloudia plan] on a loaded one. Raises [Invalid_argument] with
+    {!Solver.check_supports}'s message when the strategy cannot handle
+    the objective. *)

@@ -30,29 +30,29 @@ let parse_raw text =
     collect 1 [] lines
   end
 
-let print matrix =
+let print lat =
+  let n = Lat_matrix.dim lat in
   let buf = Buffer.create 256 in
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun j v ->
-          if j > 0 then Buffer.add_string buf ", ";
-          (* Canonical "nan" (never "-nan"), so printed partial matrices
-             round-trip through [parse_raw] on every platform. *)
-          if Float.is_nan v then Buffer.add_string buf "nan"
-          else Buffer.add_string buf (Printf.sprintf "%.6g" v))
-        row;
-      Buffer.add_char buf '\n')
-    matrix;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if j > 0 then Buffer.add_string buf ", ";
+      let v = Lat_matrix.unsafe_get lat i j in
+      (* Canonical "nan" (never "-nan"), so printed partial matrices
+         round-trip through [parse_raw] on every platform. *)
+      if Float.is_nan v then Buffer.add_string buf "nan"
+      else Buffer.add_string buf (Printf.sprintf "%.6g" v)
+    done;
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 (* ---------- binary format (see Lat_matrix) ---------- *)
 
 let save_binary path lat = Lat_matrix.write_binary path lat
 
-let load ?mmap path =
+let load path =
   if Lat_matrix.looks_binary path then
-    Result.map_error (fun e -> `Msg e) (Lat_matrix.read_binary ?mmap path)
+    Result.map_error (fun e -> `Msg e) (Lat_matrix.read_binary path)
   else
     match In_channel.with_open_text path In_channel.input_all with
     | exception Sys_error e -> Error (`Msg e)

@@ -19,11 +19,9 @@
     problems the same way. *)
 
 val load :
-  ?mmap:bool -> string
-  -> (Lat_matrix.t, [ `Msg of string | `Lint of Lint.Diagnostic.t list ]) result
+  string -> (Lat_matrix.t, [ `Msg of string | `Lint of Lint.Diagnostic.t list ]) result
 (** Read a matrix file, sniffing the format by magic: CLDALAT1 binary
-    via {!Lat_matrix.read_binary} ([~mmap:true] maps float64 payloads
-    copy-on-write), anything else as CSV via {!parse_raw}. NaN, infinite,
+    via {!Lat_matrix.read_binary}, anything else as CSV via {!parse_raw}. NaN, infinite,
     negative and diagonal entries load as they are. [`Msg] is an I/O,
     syntax or framing error; ragged CSV rows, which no square matrix can
     hold, are [`Lint] with their [LAT001] diagnostic. *)
@@ -34,7 +32,7 @@ val parse_raw : string -> (float array array, string) result
     negative. A case-insensitive ["nan"] cell parses to [nan] explicitly.
     Only syntax errors (non-numeric cells, no rows) are [Error]. *)
 
-val print : float array array -> string
+val print : Lat_matrix.t -> string
 (** Render a matrix back to the CSV form ([%.6g] per entry; round-trips
     through {!parse_raw} up to that precision). Unsampled entries print
     as a literal ["nan"]. *)

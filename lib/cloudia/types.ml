@@ -39,7 +39,6 @@ let instance_count t = Lat_matrix.dim t.lat
 
 let[@inline] cost t j j' = Lat_matrix.get t.lat j j'
 let[@inline] unsafe_cost t j j' = Lat_matrix.unsafe_get t.lat j j'
-let costs t = Lat_matrix.to_arrays t.lat
 
 type plan = int array
 

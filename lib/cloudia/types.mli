@@ -48,10 +48,6 @@ val unsafe_cost : problem -> int -> int -> float
 (** Unchecked read for kernel loops whose indices are validated by
     construction (plans are injections into the instance set). *)
 
-val costs : problem -> float array array
-(** Materialize a boxed copy of the matrix — cold paths (lint reports,
-    printing) only; allocates [n] rows per call. *)
-
 type plan = int array
 (** [plan.(i)] is the instance hosting application node [i]. *)
 

@@ -73,7 +73,8 @@ val of_arrays : ?storage:storage -> float array array -> t
     [Invalid_argument] if the rows are ragged. *)
 
 val to_arrays : t -> float array array
-(** Materialize a boxed copy — for cold paths (linting, printing) only. *)
+(** Materialize a boxed copy. Nothing in the library needs one; it is kept
+    for the benchmark harness and the tests. *)
 
 val with_storage : storage -> t -> t
 (** Re-tag (and, for [Float32], quantize) a copy of the matrix. *)

@@ -25,54 +25,47 @@ let flush t severity ~code acc =
     in
     make severity ~code ~context:t.first message :: acc
 
-let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
-  let n = Array.length costs in
-  let not_square = tally () in
+(* One row-major pass over the flat buffer for the per-entry codes, then
+   the pairwise scans on a clean matrix. Entries are read unboxed and a
+   [hit] closure is built only for an offending entry, so a clean pass
+   allocates nothing per entry. *)
+let check_lat ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) lat =
+  let n = Lat_matrix.dim lat in
+  let d = Lat_matrix.data lat in
   let non_finite = tally () in
   let negative = tally () in
   let diagonal = tally () in
   let unsampled = tally () in
   let asymmetric = tally () in
   let at i j = Printf.sprintf "costs[%d][%d]" i j in
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> n then
-        hit not_square (fun () ->
-            ( Printf.sprintf "costs[%d]" i,
-              Printf.sprintf "row %d has %d entries, expected %d" i (Array.length row) n )))
-    costs;
-  let square = not_square.count = 0 in
-  if square then
-    Array.iteri
-      (fun i row ->
-        Array.iteri
-          (fun j c ->
-            if Float.is_nan c && i <> j then hit unsampled (fun () -> (at i j, ""))
-            else if not (Float.is_finite c) then
-              hit non_finite (fun () ->
-                  ( at i j,
-                    Printf.sprintf "entry (%d,%d) is %s; latencies must be finite" i j
-                      (if Float.is_nan c then "NaN" else "infinite") ))
-            else if c < 0.0 then
-              hit negative (fun () ->
-                  (at i j, Printf.sprintf "entry (%d,%d) = %g is negative" i j c))
-            else if i = j && c <> 0.0 then
-              hit diagonal (fun () ->
-                  ( at i j,
-                    Printf.sprintf
-                      "diagonal entry (%d,%d) = %g must be 0 (an instance talks to itself for free)"
-                      i j c )))
-          row)
-      costs;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let c = Bigarray.Array2.unsafe_get d i j in
+      if Float.is_nan c && i <> j then hit unsampled (fun () -> (at i j, ""))
+      else if not (Float.is_finite c) then
+        hit non_finite (fun () ->
+            ( at i j,
+              Printf.sprintf "entry (%d,%d) is %s; latencies must be finite" i j
+                (if Float.is_nan c then "NaN" else "infinite") ))
+      else if c < 0.0 then
+        hit negative (fun () -> (at i j, Printf.sprintf "entry (%d,%d) = %g is negative" i j c))
+      else if i = j && c <> 0.0 then
+        hit diagonal (fun () ->
+            ( at i j,
+              Printf.sprintf
+                "diagonal entry (%d,%d) = %g must be 0 (an instance talks to itself for free)" i
+                j c ))
+    done
+  done;
   let clean =
-    square && non_finite.count = 0 && negative.count = 0 && diagonal.count = 0
-    && unsampled.count = 0
+    non_finite.count = 0 && negative.count = 0 && diagonal.count = 0 && unsampled.count = 0
   in
   if clean then
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let a = costs.(i).(j) and b = costs.(j).(i) in
-        let scale = Float.max a b in
+        let a = Bigarray.Array2.unsafe_get d i j and b = Bigarray.Array2.unsafe_get d j i in
+        (* Entries are finite and non-negative here, so this is [Float.max]. *)
+        let scale = if a >= b then a else b in
         if scale > 0.0 && Float.abs (a -. b) > asymmetry_tolerance *. scale then
           hit asymmetric (fun () ->
               ( at i j,
@@ -87,17 +80,22 @@ let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
       let violations = ref 0 and example = ref "" in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if j <> i then
+          if j <> i then begin
+            let ij = Bigarray.Array2.unsafe_get d i j in
             for k = 0 to n - 1 do
-              if k <> i && k <> j && costs.(i).(k) > costs.(i).(j) +. costs.(j).(k) then begin
-                if !violations = 0 then
-                  example :=
-                    Printf.sprintf "e.g. cost(%d,%d)=%g > cost(%d,%d)+cost(%d,%d)=%g" i k
-                      costs.(i).(k) i j j k
-                      (costs.(i).(j) +. costs.(j).(k));
-                incr violations
+              if k <> i && k <> j then begin
+                let ik = Bigarray.Array2.unsafe_get d i k
+                and jk = Bigarray.Array2.unsafe_get d j k in
+                if ik > ij +. jk then begin
+                  if !violations = 0 then
+                    example :=
+                      Printf.sprintf "e.g. cost(%d,%d)=%g > cost(%d,%d)+cost(%d,%d)=%g" i k ik i
+                        j j k (ij +. jk);
+                  incr violations
+                end
               end
             done
+          end
         done
       done;
       if !violations = 0 then []
@@ -129,8 +127,22 @@ let check_matrix ?(asymmetry_tolerance = 0.5) ?(max_triangle_n = 128) costs =
   |> flush diagonal Error ~code:"LAT004"
   |> flush negative Error ~code:"LAT003"
   |> flush non_finite Error ~code:"LAT002"
-  |> flush not_square Error ~code:"LAT001"
   |> List.rev
+
+(* Boxed rows may be ragged, which no [Lat_matrix.t] can hold: that is
+   LAT001 alone; a square matrix gets the flat check. *)
+let check_matrix ?asymmetry_tolerance ?max_triangle_n costs =
+  let n = Array.length costs in
+  let not_square = tally () in
+  Array.iteri
+    (fun i row ->
+      if Array.length row <> n then
+        hit not_square (fun () ->
+            ( Printf.sprintf "costs[%d]" i,
+              Printf.sprintf "row %d has %d entries, expected %d" i (Array.length row) n )))
+    costs;
+  if not_square.count > 0 then flush not_square Error ~code:"LAT001" []
+  else check_lat ?asymmetry_tolerance ?max_triangle_n (Lat_matrix.of_arrays costs)
 
 let check_edges ~n edges =
   let self_loops = tally () in

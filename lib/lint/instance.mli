@@ -41,17 +41,25 @@
     diagnostic carrying the first offending location and the total count,
     so a fully-NaN matrix produces one [LAT007], not n². *)
 
-val check_matrix :
-  ?asymmetry_tolerance:float -> ?max_triangle_n:int -> float array array
-  -> Diagnostic.t list
-(** Validate a latency/cost matrix. [asymmetry_tolerance] (default [0.5])
-    is relative: [|c(i,j) - c(j,i)| > tol · max(c(i,j), c(j,i))] flags the
-    pair — measured RTTs are legitimately asymmetric (Sect. 3.1), so only
-    gross asymmetry warns. The O(n³) triangle scan is skipped above
+val check_lat :
+  ?asymmetry_tolerance:float -> ?max_triangle_n:int -> Lat_matrix.t -> Diagnostic.t list
+(** Validate a latency/cost matrix in place, [LAT002]–[LAT007].
+    [asymmetry_tolerance] (default [0.5]) is relative:
+    [|c(i,j) - c(j,i)| > tol · max(c(i,j), c(j,i))] flags the pair —
+    measured RTTs are legitimately asymmetric (Sect. 3.1), so only gross
+    asymmetry warns. The O(n³) triangle scan is skipped above
     [max_triangle_n] (default [128]) and whenever the matrix already has
     errors (NaN would poison the comparisons). Off-diagonal NaN is an
     unsampled pair: one [LAT007] gives their count and share of the
-    [n(n-1)] ordered pairs. A clean pass allocates nothing per entry. *)
+    [n(n-1)] ordered pairs. The entries are read straight off
+    {!Lat_matrix.data}; a clean pass allocates nothing per entry. *)
+
+val check_matrix :
+  ?asymmetry_tolerance:float -> ?max_triangle_n:int -> float array array
+  -> Diagnostic.t list
+(** Validate boxed rows, which may be ragged (a parsed CSV): ragged rows
+    are one [LAT001] and nothing else; square rows are copied into a
+    {!Lat_matrix.t} and get {!check_lat}. *)
 
 val check_edges : n:int -> (int * int) list -> Diagnostic.t list
 (** Validate a raw edge list before graph construction (the CLI path):
@@ -80,4 +88,4 @@ val check_partial :
     [Netmeasure.Completion] ([LAT008] warning), [dropped] the instances
     discarded to restore full coverage ([LAT009] warning). Zero counts
     yield no diagnostics. Pairs left unsampled stay NaN in the matrix and
-    are {!check_matrix}'s [LAT007]. *)
+    are {!check_lat}'s [LAT007]. *)

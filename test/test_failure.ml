@@ -148,7 +148,7 @@ let admit text =
 
 let test_matrix_io_roundtrip () =
   let m = [| [| 0.0; 1.25 |]; [| 0.5; 0.0 |] |] in
-  match admit (Matrix_io.print m) with
+  match admit (Matrix_io.print (Lat_matrix.of_arrays m)) with
   | Error e -> Alcotest.fail (String.concat "; " e)
   | Ok m' ->
       check_float "entry" 1.25 (Lat_matrix.get m' 0 1);

@@ -368,7 +368,7 @@ let test_problem_accepts_nan_rejects_inf () =
 
 let test_matrix_io_nan_roundtrip () =
   let matrix = [| [| 0.0; nan |]; [| 1.5; 0.0 |] |] in
-  let text = Cloudia.Matrix_io.print matrix in
+  let text = Cloudia.Matrix_io.print (Lat_matrix.of_arrays matrix) in
   Alcotest.(check bool) "prints literal nan" true
     (String.length text > 0
     &&
@@ -382,7 +382,7 @@ let test_matrix_io_nan_roundtrip () =
   | Ok m -> Alcotest.(check bool) "NaN accepted" true (Float.is_nan m.(0).(1))
   | Error e -> Alcotest.fail e);
   let clean = [| [| 0.0; 0.25 |]; [| 0.5; 0.0 |] |] in
-  match Test_failure.admit (Cloudia.Matrix_io.print clean) with
+  match Test_failure.admit (Cloudia.Matrix_io.print (Lat_matrix.of_arrays clean)) with
   | Ok m -> Alcotest.(check (float 1e-9)) "clean roundtrip" 0.25 (Lat_matrix.get m 0 1)
   | Error e -> Alcotest.fail (String.concat "; " e)
 
@@ -499,11 +499,11 @@ let test_advisor_no_faults_unchanged () =
 
 let test_search_gate_blocks_partial_matrix () =
   let graph = Graphs.Digraph.create ~n:2 [ (0, 1) ] in
-  let costs = [| [| 0.0; nan |]; [| 0.7; 0.0 |] |] in
-  let problem = Cloudia.Types.problem ~graph ~costs in
+  let costs = Lat_matrix.of_arrays [| [| 0.0; nan |]; [| 0.7; 0.0 |] |] in
+  (* The step [cloudia plan] runs on a loaded matrix. *)
   match
-    Cloudia.Advisor.search (Prng.create 31) Cloudia.Solver.Greedy_g1
-      Cloudia.Cost.Longest_link problem
+    Cloudia.Advisor.solve ~full:false (Prng.create 31) Cloudia.Solver.Greedy_g1
+      Cloudia.Cost.Longest_link graph costs
   with
   | exception Lint.Diagnostic.Failed ds ->
       Alcotest.(check bool) "LAT007" true

@@ -65,7 +65,7 @@ let csv_to_binary_preserves_parse =
     QCheck.(pair small_int (int_range 2 12))
     (fun (seed, n) ->
       let m = sample_matrix ~nan_every:6 seed n in
-      let csv = Cloudia.Matrix_io.print (Lat_matrix.to_arrays m) in
+      let csv = Cloudia.Matrix_io.print m in
       match Cloudia.Matrix_io.parse_raw csv with
       | Error e -> QCheck.Test.fail_reportf "parse_raw: %s" e
       | Ok rows ->

@@ -319,6 +319,31 @@ let test_metrics_rejects_inf () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The daemon's reader gates every request, memo hits included, so the
+   matrix check must not allocate per entry. On a clean 77x77 matrix with
+   an 8x8 mesh the whole gate measures about 1.3 k minor words, nearly all
+   of it the graph and config checks; the flat matrix check adds about
+   20. The ceiling is 2 k, a 50 % margin. A boxed copy of the matrix
+   alone is about 6 k words, and the boxed check
+   ([Lint.Instance.check_matrix] on [Lat_matrix.to_arrays]) takes the
+   gate to 32 k. *)
+let test_gate_allocation () =
+  let costs =
+    Lat_matrix.init 77 (fun i j ->
+        if i = j then 0.0 else 1.0 +. (float_of_int (((i * j) + i + j) mod 9) /. 10.0))
+  in
+  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
+  let gate () =
+    Cloudia.Advisor.gate ~full:false (Some mesh) (Some costs) Cloudia.Cost.Longest_link
+      (Some Cloudia.Solver.Greedy_g2)
+  in
+  check_int "clean" 0 (List.length (gate ()));
+  let before = Gc.minor_words () in
+  ignore (gate () : Lint.Diagnostic.t list);
+  let words = Gc.minor_words () -. before in
+  if words > 2_000.0 then
+    Alcotest.failf "gate on a 77x77 matrix: %.0f minor words, over the 2000 ceiling" words
+
 let suite =
   [
     Alcotest.test_case "matrix clean" `Quick test_matrix_clean;
@@ -349,4 +374,5 @@ let suite =
     Alcotest.test_case "violation to diagnostic" `Quick test_violation_to_diagnostic;
     Alcotest.test_case "kmeans rejects nan" `Quick test_kmeans_rejects_nan;
     Alcotest.test_case "metrics reject inf" `Quick test_metrics_rejects_inf;
+    Alcotest.test_case "gate allocation ceiling" `Quick test_gate_allocation;
   ]

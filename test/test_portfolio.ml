@@ -187,8 +187,11 @@ let test_portfolio_via_advisor () =
   let p = random_problem 29 in
   let strategy = Solver.Portfolio capped in
   Alcotest.(check string) "strategy name" "Portfolio(4)" (Solver.name strategy);
-  let plan = Advisor.search (Prng.create 19) strategy Cost.Longest_link p in
-  Alcotest.(check bool) "valid" true (Types.is_valid p plan)
+  let s =
+    Advisor.solve ~full:false (Prng.create 19) strategy Cost.Longest_link p.Types.graph
+      p.Types.lat
+  in
+  Alcotest.(check bool) "valid" true (Types.is_valid p s.Advisor.plan)
 
 let suite =
   [

@@ -544,23 +544,20 @@ let test_entry_points_agree () =
              locally, with the loader's finding. *)
           check "loader" (codes ds)
       | Ok lat ->
-          let gate ~full =
-            Lint.Diagnostic.errors
-              (Cloudia.Advisor.gate ~full (Some graph) (Some lat) objective
-                 (Some Cloudia.Solver.Greedy_g2))
-          in
-          (* plan gates before building the problem; an instance
-             [Types.of_matrix] accepts goes to [Advisor.search]. *)
+          (* The step [cloudia plan] runs, which refuses with the
+             gate's errors. *)
           check "plan"
-            (match Cloudia.Types.of_matrix ~graph lat with
-            | exception Invalid_argument _ -> codes (gate ~full:false)
-            | problem -> (
-                match
-                  Cloudia.Advisor.search (Prng.create 1) Cloudia.Solver.Greedy_g2 objective problem
-                with
-                | exception Lint.Diagnostic.Failed ds -> codes ds
-                | _ -> []));
-          check "lint" (codes (gate ~full:true));
+            (match
+               Cloudia.Advisor.solve ~full:false (Prng.create 1) Cloudia.Solver.Greedy_g2
+                 objective graph lat
+             with
+            | exception Lint.Diagnostic.Failed ds -> codes (Lint.Diagnostic.errors ds)
+            | _ -> []);
+          check "lint"
+            (codes
+               (Lint.Diagnostic.errors
+                  (Cloudia.Advisor.gate ~full:true (Some graph) (Some lat) objective
+                     (Some Cloudia.Solver.Greedy_g2))));
           (match Serve.Client.advise c (job ~id:name ~objective ~graph ~costs:lat ()) with
           | Serve.Protocol.Failed { message; _ } -> check "daemon" (codes_in message)
           | _ -> Alcotest.fail (name ^ ": the daemon must refuse the job")))

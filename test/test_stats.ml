@@ -188,17 +188,6 @@ let test_kmeans_matches_brute_force () =
     check_float ~tol:1e-6 "dp equals brute force" bf dp
   done
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_counts () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.7; 9.5; 11.0; -1.0 ];
-  let c = Histogram.counts h in
-  Alcotest.(check int) "bin 0 (incl clamped -1)" 2 c.(0);
-  Alcotest.(check int) "bin 1" 2 c.(1);
-  Alcotest.(check int) "bin 9 (incl clamped 11)" 2 c.(9);
-  Alcotest.(check int) "total" 6 (Histogram.total h)
-
 (* Bit-level equality, so the divide-and-conquer DP is held to exactly the
    full DP's floating-point results, not to a tolerance. *)
 let same_bits a b =
@@ -292,6 +281,5 @@ let suite =
     Alcotest.test_case "kmeans matches brute force" `Quick test_kmeans_matches_brute_force;
     Alcotest.test_case "kmeans matches full DP at scale" `Quick
       test_kmeans_matches_full_dp_at_scale;
-    Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
