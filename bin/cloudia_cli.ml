@@ -563,7 +563,11 @@ let plan_cmd_run seed costs_file graph_spec objective_name strategy_name time_li
   | Error e ->
       prerr_endline e;
       2
-  | Ok (objective, { Cloudia.Advisor.problem; plan; cost; default_cost; unused; _ }) ->
+  | Ok (objective, { Cloudia.Advisor.problem; plan; cost; default_cost; unused; diagnostics; _ })
+    ->
+      (* Tolerated findings go to stderr, as in advise; the JSON on
+         stdout has no diagnostics field, so they are rendered either way. *)
+      Format.eprintf "%a" Lint.Diagnostic.render diagnostics;
       if json then begin
         print_json
           (Obs.Json.Obj

@@ -13,7 +13,11 @@
    ending at v. A move can only change dist at topological positions >=
    the earliest moved node, so proposals re-relax that suffix into a
    scratch buffer and commit copies it back. Reads during the suffix pass
-   pick scratch or dist by position, so nothing is copied on abort. *)
+   pick scratch or dist by position, so nothing is copied on abort. Sync
+   runs the same relaxation from position 0 into dist. It keeps each
+   node's running maximum in its output cell, so it allocates nothing,
+   and it keeps Cost.eval's operands (start at 0.0, c > acc), so costs
+   stay bit-identical. *)
 
 let c_proposals = Obs.Counter.make "delta.proposals"
 let c_fallbacks = Obs.Counter.make "delta.fallback_evals"
@@ -173,18 +177,26 @@ let link_top ls =
     ls.values.(ls.max_rank)
   end
 
-let relax_at (t : t) ~lat ~read v =
-  let best = ref 0.0 in
-  Array.iter
-    (fun u ->
-      let c = read u +. Bigarray.Array2.unsafe_get lat t.plan.(u) t.plan.(v) in
-      if c > !best then best := c)
-    (Graphs.Digraph.in_neighbors t.problem.Types.graph v);
-  !best
+(* Relax topological positions [from..] into [into]. A predecessor at a
+   position >= [from] was relaxed into [into] by this pass; one before
+   [from] is read from the committed [ps.dist]. *)
+let[@cloudia.hot] relax_suffix (t : t) ps ~into ~from =
+  let graph = t.problem.Types.graph in
+  for k = from to Array.length ps.order - 1 do
+    let v = ps.order.(k) in
+    let preds = Graphs.Digraph.in_neighbors graph v in
+    let jv = t.plan.(v) in
+    into.(v) <- 0.0;
+    for q = 0 to Array.length preds - 1 do
+      let u = preds.(q) in
+      let du = if ps.pos.(u) >= from then into.(u) else ps.dist.(u) in
+      let c = du +. Bigarray.Array2.unsafe_get ps.lat t.plan.(u) jv in
+      if c > into.(v) then into.(v) <- c
+    done
+  done
 
 let sync_path (t : t) ps =
-  let read u = ps.dist.(u) in
-  Array.iter (fun v -> ps.dist.(v) <- relax_at t ~lat:ps.lat ~read v) ps.order;
+  relax_suffix t ps ~into:ps.dist ~from:0;
   Array.fold_left Float.max 0.0 ps.dist
 
 let sync t =
@@ -339,14 +351,10 @@ let[@cloudia.hot] propose_move t ~node ~target =
           if other = -1 then ps.pos.(node) else min ps.pos.(node) ps.pos.(other)
         in
         if prefix = 0 then t.fallbacks <- t.fallbacks + 1;
-        let read u = if ps.pos.(u) >= prefix then ps.scratch.(u) else ps.dist.(u) in
-        for k = prefix to Array.length ps.order - 1 do
-          let v = ps.order.(k) in
-          ps.scratch.(v) <- relax_at t ~lat:ps.lat ~read v
-        done;
+        relax_suffix t ps ~into:ps.scratch ~from:prefix;
         let best = ref 0.0 in
         for v = 0 to Array.length ps.order - 1 do
-          let d = read v in
+          let d = if ps.pos.(v) >= prefix then ps.scratch.(v) else ps.dist.(v) in
           if d > !best then best := d
         done;
         t.p_prefix <- prefix;

@@ -16,7 +16,8 @@
       topological suffix starting at the earliest moved node
       (affected-prefix re-relaxation); when a moved node sits at
       topological position 0 this degenerates to a full recompute, which
-      is counted as a fallback;
+      is counted as a fallback. The re-relaxation is allocation-free;
+      sync and propose share one relaxation loop;
     - {b opaque evaluators} (weighted, bandwidth, …): proposals fall back
       to the supplied full evaluation, so one solver loop serves every
       objective and the counters make the fallback rate visible.

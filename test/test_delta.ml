@@ -21,9 +21,9 @@ let link_problem ?(nodes = 6) ?(instances = 9) seed =
   in
   Types.problem ~graph ~costs
 
-let dag_problem ?(nodes = 8) ?(instances = 11) seed =
+let dag_problem ?(nodes = 8) ?(instances = 11) ?(edge_prob = 0.35) seed =
   let rng = Prng.create seed in
-  let graph = Graphs.Templates.random_dag rng ~n:nodes ~edge_prob:0.35 in
+  let graph = Graphs.Templates.random_dag rng ~n:nodes ~edge_prob in
   let costs =
     Array.init instances (fun j ->
         Array.init instances (fun j' -> if j = j' then 0.0 else 0.1 +. Prng.float rng 1.0))
@@ -79,6 +79,104 @@ let test_path_equivalence () =
     let checked = drive Cost.Longest_path (dag_problem seed) (seed + 200) ~steps:300 in
     Alcotest.(check bool) "exercised" true (checked > 100)
   done
+
+(* The serve-mix LPNDP shape: a 64-node sparse DAG over 77 instances,
+   so a plan leaves 13 instances free. *)
+let serve_mix_dag seed = dag_problem ~nodes:64 ~instances:77 ~edge_prob:0.08 seed
+
+let check_bits name expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %h got %h" name expected actual
+
+(* Swaps, relocations to free instances and moves of the topological
+   source (prefix 0: the whole DAG is re-relaxed), some committed and
+   some aborted. Every candidate and every committed cost must equal
+   Cost.eval bit for bit. *)
+let test_path_equivalence_serve_mix_shape () =
+  let problem = serve_mix_dag 5 in
+  let rng = Prng.create 505 in
+  let n = Types.node_count problem and m = Types.instance_count problem in
+  let source =
+    match Graphs.Digraph.topological_order problem.Types.graph with
+    | Some order -> order.(0)
+    | None -> Alcotest.fail "random_dag is acyclic"
+  in
+  let shadow = Types.random_plan rng problem in
+  let kernel = Delta_cost.create Cost.Longest_path problem shadow in
+  let eval = Cost.eval Cost.Longest_path problem in
+  check_bits "initial cost" (eval shadow) (Delta_cost.cost kernel);
+  let swaps = ref 0 and relocations = ref 0 and commits = ref 0 and aborts = ref 0 in
+  for step = 1 to 3000 do
+    let node = if step mod 8 = 0 then source else Prng.int rng n in
+    let target = if Prng.bool rng then shadow.(Prng.int rng n) else Prng.int rng m in
+    if target <> shadow.(node) then begin
+      let from = shadow.(node) in
+      let other = Delta_cost.occupant kernel target in
+      shadow.(node) <- target;
+      (match other with
+      | Some o ->
+          incr swaps;
+          shadow.(o) <- from
+      | None -> incr relocations);
+      check_bits "candidate" (eval shadow) (Delta_cost.propose_move kernel ~node ~target);
+      if Prng.int rng 3 = 0 then begin
+        incr aborts;
+        Delta_cost.abort kernel;
+        shadow.(node) <- from;
+        match other with Some o -> shadow.(o) <- target | None -> ()
+      end
+      else begin
+        incr commits;
+        Delta_cost.commit kernel
+      end;
+      check_bits "committed cost" (eval shadow) (Delta_cost.cost kernel)
+    end
+  done;
+  Alcotest.(check (array int)) "working plan mirrors shadow" shadow (Delta_cost.plan kernel);
+  List.iter
+    (fun (what, count) ->
+      if count < 100 then Alcotest.failf "only %d %s exercised" count what)
+    [
+      ("swaps", !swaps);
+      ("relocations", !relocations);
+      ("prefix-0 fallbacks", Delta_cost.fallback_evals kernel);
+      ("commits", !commits);
+      ("aborts", !aborts);
+    ]
+
+(* A warm propose -> commit/abort cycle on the same shape allocates
+   nothing but the float each proposal returns: a function result is
+   boxed (2 words) in OCaml's calling convention, and the suffix
+   re-relaxation adds no closure, ref or boxed float of its own. The
+   moves are drawn before measuring, so only the kernel runs inside the
+   window. *)
+let test_path_kernel_allocation_ceiling () =
+  let problem = serve_mix_dag 7 in
+  let rng = Prng.create 707 in
+  let n = Types.node_count problem and m = Types.instance_count problem in
+  let moves = 1000 in
+  let nodes = Array.init moves (fun _ -> Prng.int rng n) in
+  let targets = Array.init moves (fun _ -> Prng.int rng m) in
+  let keep = Array.init moves (fun _ -> Prng.bool rng) in
+  let kernel = Delta_cost.create Cost.Longest_path problem (Types.random_plan rng problem) in
+  let cycle () =
+    for k = 0 to moves - 1 do
+      if targets.(k) <> Delta_cost.instance_of kernel nodes.(k) then begin
+        ignore (Delta_cost.propose_move kernel ~node:nodes.(k) ~target:targets.(k) : float);
+        if keep.(k) then Delta_cost.commit kernel else Delta_cost.abort kernel
+      end
+    done
+  in
+  cycle ();
+  let proposed = Delta_cost.proposals kernel in
+  let before = Gc.minor_words () in
+  cycle ();
+  let words = Gc.minor_words () -. before in
+  let proposals = Delta_cost.proposals kernel - proposed in
+  let returned = 2.0 *. float_of_int proposals in
+  if words > returned then
+    Alcotest.failf "%d proposals allocated %.0f minor words, %.0f beyond their boxed results"
+      proposals words (words -. returned)
 
 let test_opaque_equivalence () =
   (* The arbitrary-eval fallback must obey the same protocol; here with a
@@ -327,6 +425,10 @@ let suite =
   [
     Alcotest.test_case "link kernel equals full eval" `Quick test_link_equivalence;
     Alcotest.test_case "path kernel equals full eval" `Quick test_path_equivalence;
+    Alcotest.test_case "path kernel equals full eval at serve-mix shape" `Quick
+      test_path_equivalence_serve_mix_shape;
+    Alcotest.test_case "path kernel allocation ceiling" `Quick
+      test_path_kernel_allocation_ceiling;
     Alcotest.test_case "opaque fallback equivalence" `Quick test_opaque_equivalence;
     Alcotest.test_case "swap and relocate wrappers" `Quick test_swap_and_relocate_wrappers;
     Alcotest.test_case "protocol misuse raises" `Quick test_protocol_errors;

@@ -197,6 +197,38 @@ let test_golden_cost_eval () =
   check_bits "longest path, permuted plan" 0x1.3d70a3d70a3d7p+1
     (Cloudia.Cost.eval Cloudia.Cost.Longest_path path_problem plan_b)
 
+(* Fingerprints key the daemon's caches and travel in the wire's
+   [fingerprint] field, so a rewrite of [Lat_matrix.fingerprint] must
+   reproduce these constants bit for bit. They were computed by an
+   independent FNV-1a-64 over the dimension and the cells' float64 bits,
+   each as 8 little-endian bytes. *)
+let test_fingerprint_constants () =
+  let bits = Int64.float_of_bits in
+  let check name expected m =
+    Alcotest.(check string) name expected (Lat_matrix.fingerprint_hex m)
+  in
+  check "0x0" "a8c7f832281a39c5" (Lat_matrix.create 0);
+  check "1x1 zero" "392209f14dea4c24" (Lat_matrix.create 1);
+  check "2x2 zeros" "7e0eafa1d69b9187" (Lat_matrix.create 2);
+  check "2x2 with -0.0" "126cb36b6a805807"
+    (Lat_matrix.of_arrays [| [| 0.0; -0.0 |]; [| 0.0; 0.0 |] |]);
+  (* Quiet NaN, -0.0, the smallest and largest subnormals, +inf and a
+     NaN with a payload: every cell hashes by its exact bits. *)
+  check "3x3 special cells" "dc7de073aa6cd736"
+    (Lat_matrix.of_arrays
+       [|
+         [| 0.0; bits 0x7ff8000000000000L; -0.0 |];
+         [| bits 0x1L; 0.0; bits 0x000fffffffffffffL |];
+         [| Float.infinity; bits 0x7ff0000000000001L; 0.0 |];
+       |]);
+  let ramp = Lat_matrix.init 4 (fun i j -> float_of_int ((i * 4) + j) *. 0.25) in
+  check "4x4 ramp" "0f1b100cdb1f5e34" ramp;
+  check "4x4 ramp, float32 storage" "0f1b100cdb1f5e34"
+    (Lat_matrix.with_storage Lat_matrix.Float32 ramp);
+  check "7x7 golden matrix" "f9e5dbbb5d8fa148" (Lat_matrix.of_arrays golden_matrix);
+  Alcotest.(check int64) "int64 form" 0xf9e5dbbb5d8fa148L
+    (Lat_matrix.fingerprint (Lat_matrix.of_arrays golden_matrix))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:false binary_roundtrip_exact;
@@ -208,4 +240,5 @@ let suite =
     Alcotest.test_case "malformed binary files" `Quick test_malformed_files;
     Alcotest.test_case "shape and bounds errors" `Quick test_shape_and_bounds_errors;
     Alcotest.test_case "golden Cost.eval bits" `Quick test_golden_cost_eval;
+    Alcotest.test_case "fingerprint constants" `Quick test_fingerprint_constants;
   ]
