@@ -17,14 +17,19 @@
      (the budgets are too small to time reliably). *)
 
 (* Wall time and total words allocated (minor + major - promoted counts a
-   word once wherever it first lands) by a run of [f]. *)
+   word once wherever it first lands) by a run of [f]. Minor words come
+   from [Gc.minor_words], which counts the minor heap's current fill;
+   [Gc.quick_stat] adds it only at the next minor collection. *)
 let timed f =
-  let words (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
-  let w0 = words (Gc.quick_stat ()) in
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
   let t0 = Unix.gettimeofday () in
   let v = f () in
   let dt = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  (v, dt, Float.max 0.0 (words (Gc.quick_stat ()) -. w0))
+  (v, dt, Float.max 0.0 (words () -. w0))
 
 (* The same annealing run — same seed, same move budget, same schedule —
    evaluated either through the delta kernel (solve_objective) or with

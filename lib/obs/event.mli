@@ -19,8 +19,9 @@ type payload =
       heap_words : int;    (** heap growth over the span, in words *)
       compactions : int;
     }
-      (** [Gc.quick_stat] delta over the enclosing span of the same name,
-          emitted by {!Resource.with_} just before its [Span_end]. *)
+      (** GC delta over the enclosing span of the same name ([minor_words]
+          from [Gc.minor_words], the rest from [Gc.quick_stat]), emitted
+          by {!Resource.with_} just before its [Span_end]. *)
 
 type t = {
   t_ns : int64;   (** {!Clock.now_ns} at emission *)

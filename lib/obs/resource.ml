@@ -1,14 +1,16 @@
 let with_ name f =
   if Sink.enabled () then begin
     Sink.record (Event.Span_begin name);
-    let before = Gc.quick_stat () in
+    (* [Gc.minor_words] counts the minor heap's current fill, which
+       [quick_stat] adds only at the next minor collection. *)
+    let minor_before = Gc.minor_words () and before = Gc.quick_stat () in
     let finish () =
-      let after = Gc.quick_stat () in
+      let minor_after = Gc.minor_words () and after = Gc.quick_stat () in
       Sink.record
         (Event.Gc_delta
            {
              span = name;
-             minor_words = after.Gc.minor_words -. before.Gc.minor_words;
+             minor_words = minor_after -. minor_before;
              major_words = after.Gc.major_words -. before.Gc.major_words;
              promoted_words = after.Gc.promoted_words -. before.Gc.promoted_words;
              heap_words = after.Gc.heap_words - before.Gc.heap_words;

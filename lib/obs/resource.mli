@@ -1,9 +1,11 @@
 (** Spans that also sample resource usage.
 
-    [with_ name f] is {!Span.with_} plus a per-span [Gc.quick_stat]
-    delta: just before the span closes it emits an {!Event.Gc_delta}
-    carrying the minor/major/promoted words allocated, heap growth, and
-    compactions that happened inside the span (on this domain). Use it
+    [with_ name f] is {!Span.with_} plus a per-span GC delta: just
+    before the span closes it emits an {!Event.Gc_delta} carrying the
+    minor/major/promoted words allocated, heap growth, and compactions
+    that happened inside the span (on this domain). Minor words come
+    from [Gc.minor_words], which counts every word; the rest from
+    [Gc.quick_stat]. Use it
     for solver phases where the allocation footprint matters; keep plain
     {!Span.with_} for fine-grained regions, where two extra
     [Gc.quick_stat] calls per iteration would distort the measurement.

@@ -73,23 +73,33 @@ let json_of_graph g =
   Json.Obj [ ("n", Json.of_int (Graphs.Digraph.n g)); ("edges", Json.Arr edges) ]
 
 let to_float = function
-  | Json.Num s -> (try float_of_string s with Failure _ -> fail "bad number %S" s)
+  | Json.Num s -> (try Json.number s with Failure _ -> fail "bad number %S" s)
   | _ -> fail "expected a number"
 
 let to_int = function
   | Json.Num s -> (try int_of_string s with Failure _ -> fail "bad integer %S" s)
   | _ -> fail "expected an integer"
 
+(* [to_int] of a field, naming the field when the value is not an
+   integer literal *)
+let int_of_field name v = try to_int v with Protocol_error m -> fail "%s: %s" name m
+
+let member_exn name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> fail "missing field %S" name
+
+let int_field name j = int_of_field name (member_exn name j)
+
+let edge_of_json = function
+  | Json.Arr [ (Json.Num _ as u); (Json.Num _ as v) ] -> (to_int u, to_int v)
+  | _ -> fail "graph edge must be a [src, dst] pair"
+
 let graph_of_json j =
-  let n = Json.int_field "n" j in
+  let n = int_field "n" j in
   let edges =
     match Json.member "edges" j with
-    | Some (Json.Arr es) ->
-        List.map
-          (function
-            | Json.Arr [ (Json.Num _ as u); (Json.Num _ as v) ] -> (to_int u, to_int v)
-            | _ -> fail "graph edge must be a [src, dst] pair")
-          es
+    | Some (Json.Arr es) -> List.map edge_of_json es
     | _ -> fail "graph needs an \"edges\" array"
   in
   try Graphs.Digraph.create ~n edges
@@ -98,15 +108,16 @@ let graph_of_json j =
 (* NaN marks unsampled pairs in latency matrices; JSON has no NaN literal,
    so entries round-trip as null. Infinities are a different finding
    (LAT002, not LAT007), so they travel as overflowing literals, which
-   every IEEE parser reads back as ±inf. *)
-let json_of_cost c =
-  if Float.is_finite c || Float.is_nan c then Json.of_float c
-  else Json.Num (if c > 0.0 then "1e999" else "-1e999")
-
+   every IEEE parser reads back as ±inf. [Json.Floats] writes a row that
+   way, each cell straight into the frame buffer. *)
 let json_of_matrix m =
   let n = Lat_matrix.dim m and data = Lat_matrix.data m in
   let row i =
-    Json.Arr (List.init n (fun j -> json_of_cost (Bigarray.Array2.unsafe_get data i j)))
+    let cells = Array.create_float n in
+    for j = 0 to n - 1 do
+      Array.unsafe_set cells j (Bigarray.Array2.unsafe_get data i j)
+    done;
+    Json.Floats cells
   in
   Json.Arr (List.init n row)
 
@@ -115,34 +126,44 @@ let matrix_entry = function
   | Json.Num _ as v -> to_float v
   | _ -> fail "matrix entry must be a number or null"
 
-(* Entries are decoded straight into the matrix, row by row. It is
-   allocated only once every row is known to hold [n] cells, so a frame
-   of many short rows cannot make the daemon reserve n² floats; when one
-   does not, the first problem in reading order is reported, entries
-   before it included. *)
+(* Entries are decoded straight into the matrix, row by row: a
+   [Json.Floats] row, as the parser reads a row of latencies, is copied;
+   an [Arr] row, as it keeps a row of integer literals, is converted cell
+   by cell. The matrix is allocated only once every row is known to hold
+   [n] cells, so a frame of many short rows cannot make the daemon
+   reserve n² floats; when one does not, the first problem in reading
+   order is reported, entries before it included. *)
 let matrix_of_json j =
   match j with
   | Json.Arr rows ->
       let n = List.length rows in
-      let cells = function
-        | Json.Arr cells when List.compare_length_with cells n = 0 -> cells
-        | Json.Arr _ -> fail "matrix must be square"
-        | _ -> fail "matrix row must be an array"
-      in
       let square = function
+        | Json.Floats cells -> Array.length cells = n
         | Json.Arr cells -> List.compare_length_with cells n = 0
         | _ -> false
       in
       if not (List.for_all square rows) then
         (* raises at the first bad row, if not before *)
         List.iter
-          (fun row -> List.iter (fun c -> ignore (matrix_entry c : float)) (cells row))
+          (function
+            | Json.Floats _ as row when square row -> ()
+            | Json.Arr cells as row when square row ->
+                List.iter (fun c -> ignore (matrix_entry c : float)) cells
+            | Json.Arr _ | Json.Floats _ -> fail "matrix must be square"
+            | _ -> fail "matrix row must be an array")
           rows;
       let m = Lat_matrix.create n in
       let data = Lat_matrix.data m in
       List.iteri
         (fun i row ->
-          List.iteri (fun j c -> Bigarray.Array2.unsafe_set data i j (matrix_entry c)) (cells row))
+          match row with
+          | Json.Floats cells ->
+              for j = 0 to n - 1 do
+                Bigarray.Array2.unsafe_set data i j (Array.unsafe_get cells j)
+              done
+          | Json.Arr cells ->
+              List.iteri (fun j c -> Bigarray.Array2.unsafe_set data i j (matrix_entry c)) cells
+          | _ -> ())
         rows;
       m
   | _ -> fail "costs must be an array of rows"
@@ -164,11 +185,6 @@ let json_of_job job =
       ("costs", json_of_matrix job.costs);
     ]
 
-let member_exn name j =
-  match Json.member name j with
-  | Some v -> v
-  | None -> fail "missing field %S" name
-
 let opt_field conv name j =
   match Json.member name j with
   | None | Some Json.Null -> None
@@ -179,13 +195,13 @@ let job_of_json j =
     {
       id = Json.str_field "id" j;
       tenant = Json.str_field "tenant" j;
-      seed = Json.int_field "seed" j;
+      seed = int_field "seed" j;
       solver = solver_of_string (Json.str_field "solver" j);
       objective = objective_of_string (Json.str_field "objective" j);
       budget = Json.float_field "budget" j;
       deadline = opt_field to_float "deadline" j;
-      max_moves = opt_field to_int "max_moves" j;
-      clusters = opt_field to_int "clusters" j;
+      max_moves = opt_field (int_of_field "max_moves") "max_moves" j;
+      clusters = opt_field (int_of_field "clusters") "clusters" j;
       graph = graph_of_json (member_exn "graph" j);
       costs = matrix_of_json (member_exn "costs" j);
     }
@@ -231,6 +247,25 @@ let json_of_reply = function
           ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.of_int v)) kvs));
         ]
 
+(* The parser reads a plan of three or more numbers with a null, a
+   fraction or an exponent in it as [Json.Floats], which keeps no
+   spelling. It is refused at its first cell that an [Arr] of the same
+   literals would be refused at: a null, or a number that is not a whole
+   one in [int]'s range, named by its %.17g text. A plan of such whole
+   numbers has one spelled with a fraction or an exponent, and is
+   refused as such. *)
+let plan_refused cells =
+  Array.iter
+    (fun x ->
+      if Float.is_nan x then fail "plan entries must be ints"
+      else if not (Float.is_integer x && Float.abs x < 0x1p62) then
+        fail "bad integer %S"
+          (if Float.is_finite x then Printf.sprintf "%.17g" x
+           else if x > 0.0 then "1e999"
+           else "-1e999"))
+    cells;
+  fail "bad integer: written with a fraction or an exponent"
+
 let reply_of_json j =
   match Json.str_field "type" j with
   | "result" ->
@@ -241,6 +276,7 @@ let reply_of_json j =
               (List.map
                  (function Json.Num _ as v -> to_int v | _ -> fail "plan entries must be ints")
                  cells)
+        | Json.Floats cells -> plan_refused cells
         | _ -> fail "plan must be an array"
       in
       Result
@@ -330,7 +366,8 @@ let read_frame fd =
    it; a concurrent second frame gets a buffer of its own. A spare grows
    to the largest frame seen, up to [spare_limit]. Frames small enough
    for the minor heap, where a dead buffer costs nothing, always get
-   their own. *)
+   their own. A frame past [spare_limit] is read into a buffer that
+   grows with the bytes received (see [read_growing]). *)
 let spare_limit = 1 lsl 20
 let small_frame = 2048
 let send_spare = Atomic.make Bytes.empty
@@ -359,17 +396,42 @@ let send fd json =
 let send_request fd r = send fd (json_of_request r)
 let send_reply fd r = send fd (json_of_reply r)
 
+(* A [len]-byte payload past [spare_limit], read into a buffer that
+   starts at [spare_limit / 16] and doubles when full, so memory follows
+   the bytes received rather than the length a header claims. *)
+let read_growing fd len =
+  let rec fill buf got =
+    if not (really_read fd buf got (Bytes.length buf - got)) then raise End_of_file;
+    if Bytes.length buf = len then buf
+    else begin
+      let bigger = Bytes.create (min len (2 * Bytes.length buf)) in
+      Bytes.blit buf 0 bigger 0 (Bytes.length buf);
+      fill bigger (Bytes.length buf)
+    end
+  in
+  fill (Bytes.create (spare_limit / 16)) 0
+
 (* The payload is parsed where it was read; the values parsed share no
    bytes with the buffer. *)
 let recv_json fd =
   match read_header fd with
   | None -> None
   | Some len ->
-      with_buffer recv_spare len (fun buf ->
-          if len > 0 && not (really_read fd buf 0 len) then raise End_of_file;
-          match Json.parse ~len (Bytes.unsafe_to_string buf) with
-          | j -> Some j
-          | exception Json.Bad _ -> fail "frame is not valid JSON")
+      let parse buf =
+        match Json.parse ~len (Bytes.unsafe_to_string buf) with
+        | j -> Some j
+        | exception Json.Bad _ -> fail "frame is not valid JSON"
+      in
+      if len > spare_limit then parse (read_growing fd len)
+      else
+        with_buffer recv_spare len (fun buf ->
+            if len > 0 && not (really_read fd buf 0 len) then raise End_of_file;
+            parse buf)
+
+let request_id j =
+  match Option.bind (Json.member "job" j) (Json.member "id") with
+  | Some (Json.Str id) -> id
+  | _ -> ""
 
 let recv_request fd = Option.map request_of_json (recv_json fd)
 let recv_reply fd = Option.map reply_of_json (recv_json fd)

@@ -86,3 +86,15 @@ val send_reply : Unix.file_descr -> reply -> unit
 
 val recv_request : Unix.file_descr -> request option
 val recv_reply : Unix.file_descr -> reply option
+
+val recv_json : Unix.file_descr -> Obs.Json.t option
+(** The document of the next frame, which {!recv_request} and
+    {!recv_reply} then decode: [None] on a clean EOF between frames,
+    [End_of_file] mid-frame, {!Protocol_error} on an oversized length
+    header or a payload that is not JSON. Memory follows the bytes
+    received: a frame of up to 1 MiB is read into a reused buffer, a
+    larger one into a buffer that starts at 64 KiB and doubles as bytes
+    arrive, so a header alone cannot make the reader reserve 16 MiB. *)
+
+val request_id : Obs.Json.t -> string
+(** The job id a request document names, or [""]. *)

@@ -294,22 +294,24 @@ let enqueue t conn (job : Protocol.job) =
 
 let reader t conn () =
   let rec loop () =
-    match Protocol.recv_request conn.fd with
+    match Protocol.recv_json conn.fd with
     | None -> ()
-    | Some Protocol.Ping ->
-        reply conn Protocol.Pong;
-        loop ()
-    | Some Protocol.Stats_request ->
-        reply conn (stats_reply t);
-        loop ()
-    | Some (Protocol.Advise job) ->
-        (match rejection job with
-        | Some message -> reply conn (Protocol.Failed { j_id = job.id; message })
-        | None -> enqueue t conn job);
+    | Some j ->
+        (match Protocol.request_of_json j with
+        | Protocol.Ping -> reply conn Protocol.Pong
+        | Protocol.Stats_request -> reply conn (stats_reply t)
+        | Protocol.Advise job -> (
+            match rejection job with
+            | Some message -> reply conn (Protocol.Failed { j_id = job.id; message })
+            | None -> enqueue t conn job)
+        | exception Protocol.Protocol_error message ->
+            (* A whole frame that is not a valid request: the stream is
+               still at a frame boundary, so the connection goes on. *)
+            reply conn (Protocol.Failed { j_id = Protocol.request_id j; message }));
         loop ()
     | exception Protocol.Protocol_error m ->
-        (* Unframeable garbage: answer once, then drop the connection —
-           resynchronizing an unknown stream position is hopeless. *)
+        (* An oversized header or a payload that is not JSON: answer
+           once, then drop the connection. *)
         reply conn (Protocol.Failed { j_id = ""; message = m })
     | exception (End_of_file | Unix.Unix_error (_, _, _)) -> ()
   in

@@ -191,6 +191,18 @@ let to_string v =
             emit v)
           fields;
         Buffer.add_char b '}'
+    | Floats cells ->
+        Buffer.add_char b '[';
+        Array.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_string b
+              (if Float.is_nan x then "null"
+               else if Float.is_finite x then Printf.sprintf "%.17g" x
+               else if x > 0.0 then "1e999"
+               else "-1e999"))
+          cells;
+        Buffer.add_char b ']'
   in
   emit v;
   Buffer.contents b

@@ -22,6 +22,9 @@ let of_json j =
             | J.Arr cells ->
                 if List.length cells <> n then fail "matrix must be square";
                 Array.of_list (List.map entry cells)
+            | J.Floats cells ->
+                if Array.length cells <> n then fail "matrix must be square";
+                Array.copy cells
             | _ -> fail "matrix row must be an array")
           rows
       in

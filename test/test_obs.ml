@@ -719,8 +719,33 @@ let test_obs_compare_refuses_mismatched_header () =
   | Ok _ -> Alcotest.fail "newer schema accepted"
   | Error _ -> ()
 
+(* A span that conses 10,000 list cells (3 words each) allocates at
+   least 30,000 minor words, whether or not a minor collection falls
+   inside it: [Gc.quick_stat] would report 0 for a span that ends before
+   the next collection. *)
+let test_resource_counts_minor_words () =
+  with_tracing (fun () ->
+      let cells =
+        Obs.Resource.with_ "cons" (fun () ->
+            Sys.opaque_identity (List.init 10_000 (fun i -> i)))
+      in
+      Alcotest.(check int) "list built" 10_000 (List.length cells);
+      let minor =
+        List.filter_map
+          (fun (e : Obs.Event.t) ->
+            match e.Obs.Event.payload with
+            | Obs.Event.Gc_delta { span = "cons"; minor_words; _ } -> Some minor_words
+            | _ -> None)
+          (Obs.Sink.drain ())
+      in
+      match minor with
+      | [ w ] ->
+          if w < 30_000.0 then Alcotest.failf "span reports %.0f minor words, under 30000" w
+      | l -> Alcotest.failf "expected one Gc_delta for the span, got %d" (List.length l))
+
 let suite =
   [
+    Alcotest.test_case "resource counts minor words" `Quick test_resource_counts_minor_words;
     Alcotest.test_case "disabled sink records nothing" `Quick
       test_disabled_sink_records_nothing;
     Alcotest.test_case "span passes result through" `Quick test_span_result_passthrough;

@@ -154,6 +154,56 @@ let test_codec_rejects_garbage () =
   expect_protocol_error "non-integer edge endpoint" (fun () ->
       Serve.Protocol.request_of_json (Obs.Json.parse non_integer_edge))
 
+(* An edge or a plan that is not all integer literals is refused at its
+   first bad cell. A pair keeps its spelling; a plan of three or more
+   cells with a fraction, an exponent or a null in it is read as a row of
+   doubles, whose cells are named by their %.17g text. *)
+let test_int_rows_name_bad_cell () =
+  let message f =
+    match f () with
+    | _ -> Alcotest.fail "expected Protocol_error"
+    | exception Serve.Protocol.Protocol_error m -> m
+  in
+  List.iter
+    (fun (edge, expected) ->
+      let text =
+        Printf.sprintf
+          {|{"type":"advise","job":{"id":"x","tenant":"t","seed":1,"solver":"greedy",
+             "objective":"longest-link","budget":1.0,
+             "graph":{"n":2,"edges":[%s]},"costs":[[0,1],[2,0]]}}|}
+          edge
+      in
+      Alcotest.(check string) ("edge " ^ edge) expected
+        (message (fun () -> Serve.Protocol.request_of_json (Obs.Json.parse text))))
+    [
+      ("[0,1.5]", {|bad integer "1.5"|});
+      ("[0,-2.5e-1]", {|bad integer "-2.5e-1"|});
+      ("[1e999,0]", {|bad integer "1e999"|});
+      ("[0,1e3]", {|bad integer "1e3"|});
+      ("[0,null]", "graph edge must be a [src, dst] pair");
+      ("[0,1,1]", "graph edge must be a [src, dst] pair");
+      ("[0.5,1,1]", "graph edge must be a [src, dst] pair");
+    ];
+  List.iter
+    (fun (plan, expected) ->
+      let text =
+        Printf.sprintf
+          {|{"type":"result","id":"x","plan":%s,"cost":1,"fingerprint":"f","latency_ms":1}|}
+          plan
+      in
+      Alcotest.(check string) ("plan " ^ plan) expected
+        (message (fun () -> Serve.Protocol.reply_of_json (Obs.Json.parse text))))
+    [
+      ("[1.5]", {|bad integer "1.5"|});
+      ("[0,1.5,2]", {|bad integer "1.5"|});
+      ("[0,0.1,2]", {|bad integer "0.10000000000000001"|});
+      ("[1.5,null,0]", {|bad integer "1.5"|});
+      ("[null,1.5,0]", "plan entries must be ints");
+      ("[2.0,1,0]", "bad integer: written with a fraction or an exponent");
+      ("[0,99999999999999999999,1.5]", {|bad integer "1e+20"|});
+      ("[0,\"a\"]", "plan entries must be ints");
+    ]
+
 (* ---------- Framing ---------- *)
 
 let with_socketpair f =
@@ -235,6 +285,35 @@ let test_large_frames_reuse_buffers () =
   List.iter expect jobs;
   expect_protocol_error "malformed large frame" (fun () -> Serve.Protocol.recv_request b);
   expect (List.hd jobs)
+
+(* A header that claims the 16 MiB cap, 100 payload bytes, then a close:
+   the reader's buffer grows with what arrives, so it allocates far less
+   than the claim before it meets the end of the stream. *)
+let test_recv_memory_follows_bytes () =
+  with_socketpair @@ fun a b ->
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int Serve.Protocol.max_frame_bytes);
+  ignore (Unix.write a header 0 4 : int);
+  ignore (Unix.write_substring a (String.make 100 '[') 0 100 : int);
+  Unix.close a;
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words
+  in
+  let before = words () in
+  (match Serve.Protocol.recv_json b with
+  | _ -> Alcotest.fail "expected End_of_file"
+  | exception End_of_file -> ());
+  let bytes = (words () -. before) *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 1048576.0 then
+    Alcotest.failf "reading 100 bytes of a 16 MiB frame allocated %.0f bytes" bytes;
+  (* A 3 MB frame, past the spare buffers, still arrives whole. *)
+  with_socketpair @@ fun a b ->
+  let big = String.init 3_000_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let writer = Domain.spawn (fun () -> Serve.Protocol.write_frame a (Obs.Json.to_string (Obs.Json.Str big))) in
+  let got = Serve.Protocol.recv_json b in
+  Domain.join writer;
+  Alcotest.(check bool) "3 MB frame read whole" true (got = Some (Obs.Json.Str big))
 
 (* ---------- LRU ---------- *)
 
@@ -462,6 +541,42 @@ let test_invalid_fields_failed () =
   Alcotest.(check string) "valid job still answered" "ok" r.r_id;
   Alcotest.(check int) "only the valid job ran" (jobs_before + 1) (jobs ())
 
+(* A seed or a graph size that is not an integer literal — a fraction,
+   or an exponent that would truncate or overflow — gets one Failed reply
+   naming the field, and the connection stays open for the next job. *)
+let test_non_integer_seed_and_n_failed () =
+  with_server "nonint" @@ fun sock ->
+  let c = Serve.Client.connect sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let fd = Serve.Client.raw_fd c in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let text =
+    Obs.Json.to_string (Serve.Protocol.json_of_request (Serve.Protocol.Advise (job ~id:"nonint" ())))
+  in
+  let replace_once s sub by =
+    let n = String.length sub in
+    let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter
+    (fun (field, literal) ->
+      Serve.Protocol.write_frame fd
+        (replace_once text (Printf.sprintf "%S:%s," field (if field = "n" then "4" else "1"))
+           (Printf.sprintf "%S:%s," field literal));
+      match Serve.Protocol.recv_reply fd with
+      | Some (Serve.Protocol.Failed { j_id; message }) ->
+          Alcotest.(check string) "id echoed" "nonint" j_id;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s=%s: %S names the field" field literal message)
+            true
+            (String.starts_with ~prefix:(field ^ ": ") message)
+      | _ -> Alcotest.failf "%s=%s: expected one Failed reply" field literal)
+    [ ("seed", "1.5"); ("seed", "1e30"); ("seed", "1e999"); ("n", "1.5"); ("n", "1e30");
+      ("n", "1e999") ];
+  let r = advise_result c (job ~id:"ok" ()) in
+  Alcotest.(check string) "connection still open" "ok" r.r_id
+
 let test_garbage_frame_answered () =
   (* A frame the codec cannot decode gets one Failed reply and costs only
      its own connection: the daemon answers the next one. *)
@@ -602,11 +717,13 @@ let suite =
     Alcotest.test_case "control roundtrips" `Quick test_control_roundtrips;
     Alcotest.test_case "reply roundtrips" `Quick test_reply_roundtrips;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    Alcotest.test_case "int rows name the bad cell" `Quick test_int_rows_name_bad_cell;
     Alcotest.test_case "framing roundtrip + EOF" `Quick test_framing_roundtrip_and_eof;
     Alcotest.test_case "framing EOF mid-frame" `Quick test_framing_eof_mid_frame;
     Alcotest.test_case "framing rejects oversized" `Quick test_framing_rejects_oversized;
     Alcotest.test_case "recv rejects malformed json" `Quick test_recv_rejects_malformed_json;
     Alcotest.test_case "large frames reuse buffers" `Quick test_large_frames_reuse_buffers;
+    Alcotest.test_case "recv memory follows bytes" `Quick test_recv_memory_follows_bytes;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru replace" `Quick test_lru_replace_no_eviction;
     Alcotest.test_case "lru mem does not promote" `Quick test_lru_mem_does_not_promote;
@@ -616,6 +733,7 @@ let suite =
     Alcotest.test_case "end-to-end memo and warm" `Quick test_end_to_end_memo_and_warm;
     Alcotest.test_case "solver failure replied" `Quick test_solver_failure_is_replied;
     Alcotest.test_case "invalid fields failed" `Quick test_invalid_fields_failed;
+    Alcotest.test_case "non-integer seed and n failed" `Quick test_non_integer_seed_and_n_failed;
     Alcotest.test_case "garbage frame answered" `Quick test_garbage_frame_answered;
     Alcotest.test_case "entry points agree" `Quick test_entry_points_agree;
     Alcotest.test_case "expired deadline rejected" `Quick test_expired_deadline_rejected;
