@@ -4,59 +4,73 @@ type t = {
   inn : int array array;
 }
 
-let sort_dedup lst =
-  let a = Array.of_list lst in
-  Array.sort Int.compare a;
-  let out = ref [] in
-  Array.iter
-    (fun x -> match !out with y :: _ when y = x -> () | _ -> out := x :: !out)
-    a;
-  Array.of_list (List.rev !out)
+(* [rows] transposed: row [v] lists, in ascending order, each [u] whose
+   row holds [v], as many times as it does. *)
+let transpose_rows n rows =
+  let deg = Array.make n 0 in
+  Array.iter (Array.iter (fun v -> deg.(v) <- deg.(v) + 1)) rows;
+  let t = Array.map (fun d -> Array.make d 0) deg in
+  Array.fill deg 0 n 0;
+  Array.iteri
+    (fun u row ->
+      for i = 0 to Array.length row - 1 do
+        let v = row.(i) in
+        t.(v).(deg.(v)) <- u;
+        deg.(v) <- deg.(v) + 1
+      done)
+    rows;
+  t
 
+(* The graph with out-rows [out], each ascending with any repeats next
+   to each other: repeats are dropped in place (a row is copied only if
+   it held one), and [inn] is [out] transposed. *)
+let of_sorted_rows n out =
+  let dedup row =
+    let k = ref 0 in
+    for i = 0 to Array.length row - 1 do
+      if !k = 0 || row.(!k - 1) <> row.(i) then begin
+        row.(!k) <- row.(i);
+        incr k
+      end
+    done;
+    if !k = Array.length row then row else Array.sub row 0 !k
+  in
+  let out = Array.map dedup out in
+  { n; out; inn = transpose_rows n out }
+
+(* The arcs are bucketed by head, and that table transposed lists each
+   tail's heads in ascending order. *)
 let create ~n edges =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
+  let in_deg = Array.make n 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Digraph.create: edge endpoint out of range";
-      if u = v then invalid_arg "Digraph.create: self-loop")
+      if u = v then invalid_arg "Digraph.create: self-loop";
+      in_deg.(v) <- in_deg.(v) + 1)
     edges;
-  let out_lists = Array.make n [] in
-  let in_lists = Array.make n [] in
+  let tails = Array.map (fun d -> Array.make d 0) in_deg in
   List.iter
     (fun (u, v) ->
-      out_lists.(u) <- v :: out_lists.(u);
-      in_lists.(v) <- u :: in_lists.(v))
+      in_deg.(v) <- in_deg.(v) - 1;
+      tails.(v).(in_deg.(v)) <- u)
     edges;
-  { n; out = Array.map sort_dedup out_lists; inn = Array.map sort_dedup in_lists }
+  of_sorted_rows n (transpose_rows n tails)
 
 let of_predicate ~n edge =
   if n < 0 then invalid_arg "Digraph.of_predicate: negative node count";
   let row = Array.make n 0 in
-  let out =
-    Array.init n (fun u ->
-        let k = ref 0 in
-        for v = 0 to n - 1 do
-          if u <> v && edge u v then begin
-            row.(!k) <- v;
-            incr k
-          end
-        done;
-        Array.sub row 0 !k)
-  in
-  let in_deg = Array.make n 0 in
-  Array.iter (Array.iter (fun v -> in_deg.(v) <- in_deg.(v) + 1)) out;
-  let inn = Array.map (fun d -> Array.make d 0) in_deg in
-  Array.fill in_deg 0 n 0;
-  Array.iteri
-    (fun u succ ->
-      Array.iter
-        (fun v ->
-          inn.(v).(in_deg.(v)) <- u;
-          in_deg.(v) <- in_deg.(v) + 1)
-        succ)
-    out;
-  { n; out; inn }
+  of_sorted_rows n
+    (Array.init n (fun u ->
+         let k = ref 0 in
+         for v = 0 to n - 1 do
+           if u <> v && edge u v then begin
+             row.(!k) <- v;
+             incr k
+           end
+         done;
+         Array.sub row 0 !k))
 
 let n t = t.n
 

@@ -606,21 +606,13 @@ let[@inline] significant d =
   done;
   !nsig
 
-(* %.17g's layout of 17 digits [d] with exponent [e] in [-6, 15]:
-   trailing zeros dropped, "d.ddde-0X" below e = -4, fixed above. *)
-let layout_length ~neg d e =
-  let nsig = significant d in
-  (if neg then 1 else 0)
-  + if e < -4 then nsig + (if nsig > 1 then 1 else 0) + 4
-    else if e < 0 then 1 - e + nsig
-    else if nsig <= e + 1 then e + 1
-    else nsig + 1
-
-(* The same layout written at [b.[o]], which has room for 24 bytes;
-   returns the offset after it. All 17 digits are written, those past
-   the [nsig] significant ones being zeros or scratch the layout then
-   overwrites or ends before; digits before a point are written one
-   byte right and moved left over it. *)
+(* %.17g's layout of 17 digits [d] with exponent [e] in [-6, 15] —
+   trailing zeros dropped, "d.ddde-0X" below e = -4, fixed above —
+   written at [b.[o]], which has room for 24 bytes; returns the offset
+   after it. All 17 digits are written, those past the [nsig]
+   significant ones being zeros or scratch the layout then overwrites or
+   ends before; digits before a point are written one byte right and
+   moved left over it. *)
 let[@cloudia.hot] put_layout b o ~neg d e =
   let nsig = significant d in
   let o =
@@ -677,13 +669,6 @@ let[@inline] packed17 x =
   let ax = Float.abs x in
   if fast_range ax then digits17 ax else -1
 
-let[@inline] length17 x =
-  if x = 0.0 then if sign_bit x then 2 else 1
-  else
-    let p = packed17 x in
-    if p >= 0 then layout_length ~neg:(x < 0.0) (p lsr 5) ((p land 31) - 6)
-    else String.length (Printf.sprintf "%.17g" x)
-
 (* %.17g of finite [x] at [b.[o]], which has room for 24 bytes (the
    longest, "-2.2250738585072014e-308", is 24). *)
 let[@inline] put17 b o x =
@@ -713,129 +698,123 @@ let print17 x =
 
 (* ---- emission ---- *)
 
-(* A document is measured first, then written once into a buffer of
-   the size measured: no regrowth copies, no final copy. *)
+(* The writer owns [w.b] from [w.o] on: a cell printed in place leaves
+   scratch digits past its text, and when the text needs more room than
+   [w.b] has, [w.b] is replaced by a copy at least twice its size. *)
+type writer = { mutable b : bytes; mutable o : int }
 
-let escaped_length s =
-  let len = ref 0 in
-  for i = 0 to String.length s - 1 do
-    len :=
-      !len
-      + (match String.unsafe_get s i with
-        | '"' | '\\' | '\n' | '\r' | '\t' -> 2
-        | ch when Char.code ch < 0x20 -> 6
-        | _ -> 1)
-  done;
-  !len
+(* Room for [k] more bytes at [w.o]. *)
+let reserve w k =
+  let need = w.o + k in
+  if need > Bytes.length w.b then begin
+    let b = Bytes.create (max need (2 * Bytes.length w.b)) in
+    Bytes.blit w.b 0 b 0 w.o;
+    w.b <- b
+  end
+
+let put_char w ch =
+  reserve w 1;
+  Bytes.set w.b w.o ch;
+  w.o <- w.o + 1
+
+let put_string w s =
+  reserve w (String.length s);
+  Bytes.blit_string s 0 w.b w.o (String.length s);
+  w.o <- w.o + String.length s
 
 let hex = "0123456789abcdef"
 
-(* Each writer puts its text at offset [o] of [b] and returns the offset
-   after it. *)
-
-let put_char b o ch =
-  Bytes.set b o ch;
-  o + 1
-
-let put_string b o s =
-  Bytes.blit_string s 0 b o (String.length s);
-  o + String.length s
-
-let put_escaped b o s =
-  let o = ref o in
-  for i = 0 to String.length s - 1 do
-    o :=
-      match String.unsafe_get s i with
-      | '"' -> put_string b !o "\\\""
-      | '\\' -> put_string b !o "\\\\"
-      | '\n' -> put_string b !o "\\n"
-      | '\r' -> put_string b !o "\\r"
-      | '\t' -> put_string b !o "\\t"
+let put_quoted w s =
+  put_char w '"';
+  String.iter
+    (function
+      | '"' -> put_string w "\\\""
+      | '\\' -> put_string w "\\\\"
+      | '\n' -> put_string w "\\n"
+      | '\r' -> put_string w "\\r"
+      | '\t' -> put_string w "\\t"
       | ch when Char.code ch < 0x20 ->
-          let o = put_string b !o "\\u00" in
-          put_char b (put_char b o hex.[Char.code ch lsr 4]) hex.[Char.code ch land 15]
-      | ch -> put_char b !o ch
-  done;
-  !o
+          put_string w "\\u00";
+          put_char w hex.[Char.code ch lsr 4];
+          put_char w hex.[Char.code ch land 15]
+      | ch -> put_char w ch)
+    s;
+  put_char w '"'
 
-let put_quoted b o s = put_char b (put_escaped b (put_char b o '"') s) '"'
-
-(* A [Floats] cell: %.17g, NaN as null, ±infinity as ±1e999. *)
-let cell_text x =
-  if Float.is_finite x then print17 x
-  else if Float.is_nan x then "null"
-  else if x > 0.0 then "1e999"
-  else "-1e999"
-
-let[@cloudia.hot] floats_length cells =
-  let len = ref (if Array.length cells = 0 then 2 else Array.length cells + 1) in
-  for i = 0 to Array.length cells - 1 do
+(* A cell takes at most 24 bytes (%.17g's longest text,
+   "-2.2250738585072014e-308", and the scratch digits [put17] may leave
+   past a shorter one) and its comma: room for the whole row is made
+   once. NaN is null and ±infinity is ±1e999. *)
+let[@cloudia.hot] put_floats w cells =
+  let n = Array.length cells in
+  reserve w ((25 * n) + 2);
+  let b = w.b and o = ref w.o in
+  Bytes.unsafe_set b !o '[';
+  incr o;
+  for i = 0 to n - 1 do
+    if i > 0 then begin
+      Bytes.unsafe_set b !o ',';
+      incr o
+    end;
     let x = Array.unsafe_get cells i in
-    len :=
-      !len
-      + if Float.is_finite x then length17 x
-        else if Float.is_nan x then 4
-        else if x > 0.0 then 5
-        else 6
+    if Float.is_finite x then o := put17 b !o x
+    else begin
+      let lit = if Float.is_nan x then "null" else if x > 0.0 then "1e999" else "-1e999" in
+      Bytes.unsafe_blit_string lit 0 b !o (String.length lit);
+      o := !o + String.length lit
+    end
   done;
-  !len
+  Bytes.unsafe_set b !o ']';
+  w.o <- !o + 1
 
-(* Cells are printed in place while [b] has room for the longest one
-   and its comma; near the end of [b] they go through [put_string],
-   which raises [Invalid_argument] where the text does not fit. A cell
-   printed in place may leave scratch digits in the 24 bytes after its
-   start: the text after it overwrites them, and past the end of the
-   document [write] does not promise to keep [b]'s bytes. *)
-let[@cloudia.hot] put_floats b o cells =
-  let o = ref (put_char b o '[') in
-  for i = 0 to Array.length cells - 1 do
-    if i > 0 then o := put_char b !o ',';
-    let x = Array.unsafe_get cells i in
-    o :=
-      if Float.is_finite x && !o + 24 <= Bytes.length b then put17 b !o x
-      else put_string b !o (cell_text x)
-  done;
-  put_char b !o ']'
+let rec put w = function
+  | Null -> put_string w "null"
+  | Bool true -> put_string w "true"
+  | Bool false -> put_string w "false"
+  | Num raw -> put_string w raw
+  | Str s -> put_quoted w s
+  | Arr [] -> put_string w "[]"
+  | Arr (v :: rest) ->
+      put_char w '[';
+      put w v;
+      put_items w rest;
+      put_char w ']'
+  | Obj [] -> put_string w "{}"
+  | Obj (f :: rest) ->
+      put_char w '{';
+      put_field w f;
+      put_fields w rest;
+      put_char w '}'
+  | Floats cells -> put_floats w cells
 
-let rec length = function
-  | Null | Bool true -> 4
-  | Bool false -> 5
-  | Num raw -> String.length raw
-  | Str s -> escaped_length s + 2
-  | Arr items ->
-      (* the brackets, and a comma between items *)
-      List.fold_left (fun acc v -> acc + 1 + length v) 1 items + if items = [] then 1 else 0
-  | Obj fields ->
-      List.fold_left (fun acc (k, v) -> acc + escaped_length k + 4 + length v) 1 fields
-      + if fields = [] then 1 else 0
-  | Floats cells -> floats_length cells
+and put_items w = function
+  | [] -> ()
+  | v :: rest ->
+      put_char w ',';
+      put w v;
+      put_items w rest
 
-let rec write b o = function
-  | Null -> put_string b o "null"
-  | Bool true -> put_string b o "true"
-  | Bool false -> put_string b o "false"
-  | Num raw -> put_string b o raw
-  | Str s -> put_quoted b o s
-  | Arr [] -> put_string b o "[]"
-  | Arr (v :: rest) -> put_char b (write_items b (write b (put_char b o '[') v) rest) ']'
-  | Obj [] -> put_string b o "{}"
-  | Obj (f :: rest) -> put_char b (write_fields b (write_field b (put_char b o '{') f) rest) '}'
-  | Floats cells -> put_floats b o cells
+and put_field w (k, v) =
+  put_quoted w k;
+  put_char w ':';
+  put w v
 
-and write_items b o = function
-  | [] -> o
-  | v :: rest -> write_items b (write b (put_char b o ',') v) rest
+and put_fields w = function
+  | [] -> ()
+  | f :: rest ->
+      put_char w ',';
+      put_field w f;
+      put_fields w rest
 
-and write_field b o (k, v) = write b (put_char b (put_quoted b o k) ':') v
-
-and write_fields b o = function
-  | [] -> o
-  | f :: rest -> write_fields b (write_field b (put_char b o ',') f) rest
+let write b off v =
+  if off < 0 || off > Bytes.length b then invalid_arg "Json.write: offset outside the buffer";
+  let w = { b; o = off } in
+  put w v;
+  (w.b, w.o)
 
 let to_string v =
-  let b = Bytes.create (length v) in
-  ignore (write b 0 v : int);
-  Bytes.unsafe_to_string b
+  let b, n = write (Bytes.create 256) 0 v in
+  Bytes.sub_string b 0 n
 
 let of_float f = if Float.is_finite f then Num (print17 f) else Null
 let of_int i = Num (string_of_int i)

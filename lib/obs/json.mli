@@ -56,21 +56,18 @@ val parse : ?len:int -> string -> t
 (** {2 Emission}
 
     [to_string] inverts {!parse}: strings are escaped, numbers emitted
-    raw, [Null]/[Bool] as literals, with no whitespace. The document is
-    measured first and written into one buffer of exactly its size. *)
+    raw, [Null]/[Bool] as literals, with no whitespace. *)
 
 val to_string : t -> string
 
-val length : t -> int
-(** The length of [to_string v], counted without writing it. *)
-
-val write : bytes -> int -> t -> int
-(** [write b off v] writes the text of [to_string v] into [b] from
-    offset [off] and returns the offset just past it. Raises
-    [Invalid_argument] if [b] is too short: check {!length} first.
-    Bytes of [b] past the returned offset may be overwritten: a
-    {!Floats} cell is printed 17 digits at a time in place and then
-    cut to its layout, wherever [b] has room for that. *)
+val write : bytes -> int -> t -> bytes * int
+(** [write b off v] writes the text of [to_string v] from offset [off]
+    and returns the buffer it used and the offset just past the text.
+    That buffer is [b] while [b] has room, and otherwise a larger copy
+    of it (at least twice the size), so bytes before [off] are kept.
+    The writer owns every byte from [off] on: those past the returned
+    offset are unspecified. Raises [Invalid_argument] if [off] is
+    outside [b]. *)
 
 val of_float : float -> t
 (** The text of [Printf.sprintf "%.17g"] (lossless for float64); NaN and

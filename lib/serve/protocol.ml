@@ -350,83 +350,82 @@ let write_frame fd payload =
   really_write Unix.write fd header 4;
   really_write Unix.write_substring fd payload (String.length payload)
 
-let read_frame fd =
-  match read_header fd with
-  | None -> None
-  | Some len ->
-      let payload = Bytes.create len in
-      if len > 0 && not (really_read fd payload 0 len) then raise End_of_file;
-      Some (Bytes.unsafe_to_string payload)
-
 (* Frame buffers. A 77-instance job is a 115 KB frame, and a fresh
    buffer per frame is that much dead memory for the major GC to find;
    the less the codec allocates elsewhere, the later it does (serve-mix's
-   peak RSS rose 3 % with a buffer per frame). So sending and receiving
-   each keep one spare buffer for large frames. Whoever takes it uses
-   it; a concurrent second frame gets a buffer of its own. A spare grows
-   to the largest frame seen, up to [spare_limit]. Frames small enough
-   for the minor heap, where a dead buffer costs nothing, always get
-   their own. A frame past [spare_limit] is read into a buffer that
-   grows with the bytes received (see [read_growing]). *)
+   peak RSS rose 3 % with a buffer per frame). So one rule serves both
+   directions: a frame buffer grows by doubling, and sending and
+   receiving each keep one spare. Whoever takes a spare uses it, and a
+   concurrent frame starts a fresh buffer of its own. A buffer goes back
+   only if it is larger than the spare there, up to [spare_limit], so a
+   small frame cannot evict a large spare. A payload known to be under
+   [small_frame] is read into a buffer of its own, in the minor heap. *)
 let spare_limit = 1 lsl 20
+let fresh_size = 1 lsl 16
 let small_frame = 2048
 let send_spare = Atomic.make Bytes.empty
 let recv_spare = Atomic.make Bytes.empty
 
-let with_buffer spare len f =
-  if len < small_frame then f (Bytes.create len)
-  else begin
-    let taken = Atomic.exchange spare Bytes.empty in
-    let b = if Bytes.length taken >= len then taken else Bytes.create len in
-    Fun.protect
-      ~finally:(fun () -> if Bytes.length b <= spare_limit then Atomic.set spare b)
-      (fun () -> f b)
-  end
+let take spare size =
+  let b = Atomic.exchange spare Bytes.empty in
+  if Bytes.length b > 0 then b else Bytes.create size
+
+let rec give_back spare b =
+  let held = Atomic.get spare in
+  if
+    Bytes.length b > Bytes.length held
+    && Bytes.length b <= spare_limit
+    && not (Atomic.compare_and_set spare held b)
+  then give_back spare b
 
 (* The document is written after the header, in place, and the frame
    goes out as one buffer. *)
 let send fd json =
-  let len = Json.length json in
-  if len > max_frame_bytes then fail "frame too large: %d bytes" len;
-  with_buffer send_spare (4 + len) (fun buf ->
-      set_header buf len;
-      ignore (Json.write buf 4 json : int);
-      really_write Unix.write fd buf (4 + len))
+  let buf, stop = Json.write (take send_spare fresh_size) 4 json in
+  Fun.protect
+    ~finally:(fun () -> give_back send_spare buf)
+    (fun () ->
+      set_header buf (stop - 4);
+      really_write Unix.write fd buf stop)
 
 let send_request fd r = send fd (json_of_request r)
 let send_reply fd r = send fd (json_of_reply r)
 
-(* A [len]-byte payload past [spare_limit], read into a buffer that
-   starts at [spare_limit / 16] and doubles when full, so memory follows
-   the bytes received rather than the length a header claims. *)
-let read_growing fd len =
-  let rec fill buf got =
-    if not (really_read fd buf got (Bytes.length buf - got)) then raise End_of_file;
-    if Bytes.length buf = len then buf
-    else begin
-      let bigger = Bytes.create (min len (2 * Bytes.length buf)) in
-      Bytes.blit buf 0 bigger 0 (Bytes.length buf);
-      fill bigger (Bytes.length buf)
-    end
-  in
-  fill (Bytes.create (spare_limit / 16)) 0
+(* [f] applied to a buffer holding the [len]-byte payload that follows
+   a header. Past [small_frame], the buffer starts as the receive spare,
+   or a fresh one of at most [fresh_size], and doubles as bytes arrive,
+   up to [len]: memory follows the bytes received, not the length a
+   header claims. *)
+let[@cloudia.hot] with_payload fd len f =
+  let small = len < small_frame in
+  let buf = ref (if small then Bytes.create len else take recv_spare (min len fresh_size)) in
+  let got = ref 0 in
+  Fun.protect ~finally:(fun () -> if not small then give_back recv_spare !buf) @@ fun () ->
+  while !got < len do
+    if !got = Bytes.length !buf then begin
+      let bigger = Bytes.create (min len (2 * !got)) in
+      Bytes.blit !buf 0 bigger 0 !got;
+      buf := bigger
+    end;
+    let n = min len (Bytes.length !buf) - !got in
+    if not (really_read fd !buf !got n) then raise End_of_file;
+    got := !got + n
+  done;
+  f !buf
+
+let read_frame fd =
+  Option.map (fun len -> with_payload fd len (fun buf -> Bytes.sub_string buf 0 len)) (read_header fd)
 
 (* The payload is parsed where it was read; the values parsed share no
    bytes with the buffer. *)
 let recv_json fd =
-  match read_header fd with
-  | None -> None
-  | Some len ->
-      let parse buf =
-        match Json.parse ~len (Bytes.unsafe_to_string buf) with
-        | j -> Some j
-        | exception Json.Bad _ -> fail "frame is not valid JSON"
-      in
-      if len > spare_limit then parse (read_growing fd len)
-      else
-        with_buffer recv_spare len (fun buf ->
-            if len > 0 && not (really_read fd buf 0 len) then raise End_of_file;
-            parse buf)
+  Option.map
+    (fun len ->
+      with_payload fd len (fun buf ->
+          match Json.parse ~len (Bytes.unsafe_to_string buf) with
+          | j -> j
+          | exception Json.Bad _ -> fail "frame is not valid JSON"))
+    (read_header fd)
 
 let request_id j =
   match Option.bind (Json.member "job" j) (Json.member "id") with

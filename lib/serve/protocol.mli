@@ -83,6 +83,10 @@ val read_frame : Unix.file_descr -> string option
 
 val send_request : Unix.file_descr -> request -> unit
 val send_reply : Unix.file_descr -> reply -> unit
+(** The document is written once, into a spare frame buffer that grows
+    by doubling, and sent as one buffer. A document past
+    {!max_frame_bytes} raises {!Protocol_error} before any byte of it is
+    sent. *)
 
 val recv_request : Unix.file_descr -> request option
 val recv_reply : Unix.file_descr -> reply option
@@ -92,9 +96,11 @@ val recv_json : Unix.file_descr -> Obs.Json.t option
     {!recv_reply} then decode: [None] on a clean EOF between frames,
     [End_of_file] mid-frame, {!Protocol_error} on an oversized length
     header or a payload that is not JSON. Memory follows the bytes
-    received: a frame of up to 1 MiB is read into a reused buffer, a
-    larger one into a buffer that starts at 64 KiB and doubles as bytes
-    arrive, so a header alone cannot make the reader reserve 16 MiB. *)
+    received, here and in {!read_frame}: a payload of 2 KB or more is
+    read into a buffer that starts as a spare kept from earlier frames
+    (up to 1 MiB), or a fresh one of at most 64 KiB, and doubles as
+    bytes arrive, so a header alone cannot make the reader reserve
+    16 MiB. *)
 
 val request_id : Obs.Json.t -> string
 (** The job id a request document names, or [""]. *)

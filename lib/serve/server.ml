@@ -68,9 +68,8 @@ type t = {
   qlock : Mutex.t;
   qcond : Condition.t;
   queue : item Queue.t;
-  clock : Mutex.t;  (* guards [conns] and [readers] *)
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
+  clock : Mutex.t;  (* guards [conns] *)
+  mutable conns : (conn * Thread.t) list;  (* each with its reader *)
   mutable accept_thread : Thread.t option;
   mutable workers : unit Domain.t list;
 }
@@ -226,12 +225,14 @@ let worker t () =
 
 let stats_reply t =
   let qd = locked t.qlock (fun () -> Queue.length t.queue) in
+  let conns = locked t.clock (fun () -> List.length t.conns) in
   let serve_counters =
     List.filter
       (fun (k, _) -> String.starts_with ~prefix:"serve." k)
       (Obs.Counter.snapshot ())
   in
-  Protocol.Stats ((("queue_depth", qd) :: serve_counters) @ Cache.stats t.cache)
+  Protocol.Stats
+    ((("queue_depth", qd) :: ("connections", conns) :: serve_counters) @ Cache.stats t.cache)
 
 (* Out-of-range fields are refused before the job is queued, with the
    same message whichever solver the job names. *)
@@ -332,9 +333,14 @@ let accept_loop t () =
             { fd; wlock = Mutex.create (); alive = true; pending = 0; closed = false }
           in
           let th = Thread.create (reader t conn) () in
+          (* Connections whose reader has left its loop are dropped here,
+             so a long-lived daemon keeps only the live ones. *)
           locked t.clock (fun () ->
-              t.conns <- conn :: t.conns;
-              t.readers <- th :: t.readers);
+              let finished, live =
+                List.partition (fun (c, _) -> locked c.wlock (fun () -> not c.alive)) t.conns
+              in
+              List.iter (fun (_, th) -> Thread.join th) finished;
+              t.conns <- (conn, th) :: live);
           loop ()
         end
   in
@@ -367,7 +373,6 @@ let start config =
       queue = Queue.create ();
       clock = Mutex.create ();
       conns = [];
-      readers = [];
       accept_thread = None;
       workers = [];
     }
@@ -409,20 +414,19 @@ let wait t =
     leftovers;
   Obs.Gauge.set g_queue_depth 0.0;
   (* Unblock the readers and collect them. *)
-  let conns, readers =
+  let conns =
     locked t.clock (fun () ->
-        let cs, rs = (t.conns, t.readers) in
+        let cs = t.conns in
         t.conns <- [];
-        t.readers <- [];
-        (cs, rs))
+        cs)
   in
   List.iter
-    (fun conn ->
+    (fun (conn, _) ->
       locked conn.wlock (fun () ->
           if not conn.closed then
             try Unix.shutdown conn.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
     conns;
-  List.iter Thread.join readers;
+  List.iter (fun (_, th) -> Thread.join th) conns;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
 

@@ -18,7 +18,10 @@
 
     Telemetry: [serve.jobs], [serve.rejected], [serve.deadline_expired],
     [serve.client_gone] counters, the [serve.queue_depth] gauge, and the
-    [serve.request_ms] histogram (enqueue → reply), all always-on. *)
+    [serve.request_ms] histogram (enqueue → reply), all always-on. The
+    [stats] reply carries [queue_depth], [connections] (the connections
+    the daemon holds: a finished one is dropped, and its reader joined,
+    at the next accept), the [serve.*] counters and the cache sizes. *)
 
 type config = {
   socket_path : string;

@@ -292,19 +292,37 @@ let qcheck_props =
       QCheck.(triple (int_bound 1_000_000) (int_range 0 20) (int_range 0 100))
       (fun (seed, n, density) ->
         let rng = Prng.create seed in
-        let adj =
-          Array.init n (fun u -> Array.init n (fun v -> u <> v && Prng.int rng 100 < density))
-        in
+        (* half the arcs drawn come with their reverse *)
+        let adj = Array.make_matrix n n false in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if u <> v && Prng.int rng 100 < density then begin
+              adj.(u).(v) <- true;
+              if Prng.bool rng then adj.(v).(u) <- true
+            end
+          done
+        done;
+        (* each arc listed one to three times, in random order *)
         let pairs = ref [] in
         Array.iteri
-          (fun u row -> Array.iteri (fun v e -> if e then pairs := (u, v) :: !pairs) row)
+          (fun u row ->
+            Array.iteri
+              (fun v e ->
+                if e then
+                  for _ = 0 to Prng.int rng 3 do
+                    pairs := (Prng.int rng 1_000_000, (u, v)) :: !pairs
+                  done)
+              row)
           adj;
-        let g = Digraph.create ~n !pairs in
-        let g' = Digraph.of_predicate ~n (fun u v -> adj.(u).(v)) in
-        Digraph.edges g = Digraph.edges g'
-        && List.for_all
-             (fun v -> Digraph.in_neighbors g v = Digraph.in_neighbors g' v)
-             (List.init n Fun.id));
+        let pairs = List.map snd (List.sort compare !pairs) in
+        let same n pairs edge =
+          let g = Digraph.create ~n pairs and g' = Digraph.of_predicate ~n edge in
+          Digraph.edges g = Digraph.edges g'
+          && List.for_all
+               (fun v -> Digraph.in_neighbors g v = Digraph.in_neighbors g' v)
+               (List.init n Fun.id)
+        in
+        same n pairs (fun u v -> adj.(u).(v)) && same 0 [] (fun _ _ -> true));
     QCheck.Test.make ~name:"matching size bounded by min side" ~count:100
       QCheck.(pair small_int (pair (int_range 1 10) (int_range 1 10)))
       (fun (seed, (nl, nr)) ->

@@ -252,7 +252,18 @@ let test_framing_rejects_oversized () =
   Bytes.set_uint8 header 2 0x00;
   Bytes.set_uint8 header 3 0x01;
   let _ = Unix.write a header 0 4 in
-  expect_protocol_error "oversized frame" (fun () -> Serve.Protocol.read_frame b)
+  expect_protocol_error "oversized frame" (fun () -> Serve.Protocol.read_frame b);
+  (* Sending: a document past the cap is refused once written, before
+     any byte of it reaches the socket. *)
+  with_socketpair @@ fun a b ->
+  let big = String.make (17 * 1024 * 1024) 'a' in
+  (match Serve.Protocol.send_reply a (Serve.Protocol.Failed { j_id = ""; message = big }) with
+  | () -> Alcotest.fail "a 17 MiB frame was sent"
+  | exception Serve.Protocol.Protocol_error m ->
+      Alcotest.(check bool) ("send refused: " ^ m) true
+        (String.starts_with ~prefix:"frame too large: " m));
+  Unix.close a;
+  Alcotest.(check (option string)) "nothing on the socket" None (Serve.Protocol.read_frame b)
 
 let test_recv_rejects_malformed_json () =
   with_socketpair @@ fun a b ->
@@ -287,26 +298,28 @@ let test_large_frames_reuse_buffers () =
   expect (List.hd jobs)
 
 (* A header that claims the 16 MiB cap, 100 payload bytes, then a close:
-   the reader's buffer grows with what arrives, so it allocates far less
-   than the claim before it meets the end of the stream. *)
+   both readers' buffers grow with what arrives, so each allocates far
+   less than the claim before it meets the end of the stream. *)
 let test_recv_memory_follows_bytes () =
-  with_socketpair @@ fun a b ->
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int Serve.Protocol.max_frame_bytes);
-  ignore (Unix.write a header 0 4 : int);
-  ignore (Unix.write_substring a (String.make 100 '[') 0 100 : int);
-  Unix.close a;
-  let words () =
-    let s = Gc.quick_stat () in
-    Gc.minor_words () +. s.Gc.major_words
-  in
-  let before = words () in
-  (match Serve.Protocol.recv_json b with
-  | _ -> Alcotest.fail "expected End_of_file"
-  | exception End_of_file -> ());
-  let bytes = (words () -. before) *. float_of_int (Sys.word_size / 8) in
-  if bytes >= 1048576.0 then
-    Alcotest.failf "reading 100 bytes of a 16 MiB frame allocated %.0f bytes" bytes;
+  List.iter
+    (fun (name, read) ->
+      with_socketpair @@ fun a b ->
+      let header = Bytes.create 4 in
+      Bytes.set_int32_be header 0 (Int32.of_int Serve.Protocol.max_frame_bytes);
+      ignore (Unix.write a header 0 4 : int);
+      ignore (Unix.write_substring a (String.make 100 '[') 0 100 : int);
+      Unix.close a;
+      let before = Test_codec.allocated_words () in
+      (match read b with
+      | () -> Alcotest.fail (name ^ ": expected End_of_file")
+      | exception End_of_file -> ());
+      let bytes = (Test_codec.allocated_words () -. before) *. float_of_int (Sys.word_size / 8) in
+      if bytes >= 1048576.0 then
+        Alcotest.failf "%s: reading 100 bytes of a 16 MiB frame allocated %.0f bytes" name bytes)
+    [
+      ("recv_json", fun fd -> ignore (Serve.Protocol.recv_json fd : Obs.Json.t option));
+      ("read_frame", fun fd -> ignore (Serve.Protocol.read_frame fd : string option));
+    ];
   (* A 3 MB frame, past the spare buffers, still arrives whole. *)
   with_socketpair @@ fun a b ->
   let big = String.init 3_000_000 (fun i -> Char.chr (97 + (i mod 26))) in
@@ -314,6 +327,32 @@ let test_recv_memory_follows_bytes () =
   let got = Serve.Protocol.recv_json b in
   Domain.join writer;
   Alcotest.(check bool) "3 MB frame read whole" true (got = Some (Obs.Json.Str big))
+
+(* Two domains each send and receive 20 serve-mix-sized jobs over their
+   own socket pair, taking and giving back the shared spare buffers
+   concurrently: every job decodes to what was sent. *)
+let test_concurrent_frames () =
+  let run d () =
+    with_socketpair @@ fun a b ->
+    (* a 118 KB frame must fit the socket's buffers before it is read *)
+    Unix.setsockopt_int a Unix.SO_SNDBUF (1 lsl 20);
+    Unix.setsockopt_int b Unix.SO_RCVBUF (1 lsl 20);
+    let rng = Random.State.make [| d |] in
+    for k = 1 to 20 do
+      let costs =
+        Lat_matrix.init 77 (fun i j -> if i = j then 0.0 else 0.2 +. Random.State.float rng 1.8)
+      in
+      let j = job ~id:(Printf.sprintf "%d-%d" d k) ~costs () in
+      Serve.Protocol.send_request a (Serve.Protocol.Advise j);
+      match Serve.Protocol.recv_request b with
+      | Some (Serve.Protocol.Advise back) ->
+          if back.id <> j.id || not (Lat_matrix.equal back.costs costs) then
+            failwith (j.id ^ " changed on the wire")
+      | _ -> failwith (j.id ^ ": expected the advise request back")
+    done
+  in
+  let domains = List.map (fun d -> Domain.spawn (run d)) [ 1; 2 ] in
+  List.iter Domain.join domains
 
 (* ---------- LRU ---------- *)
 
@@ -709,6 +748,33 @@ let test_survives_client_disconnect () =
   Alcotest.(check bool) "cache intact after disconnect" true r2.r_cached;
   check_bits "same answer" r1.r_cost r2.r_cost
 
+(* Five clients connect and hang up one after another. The daemon drops
+   a finished connection at its next accept, so a sixth client's [stats]
+   counts at most the last of them and itself. A reader may not have
+   seen its client's close by then, so a higher count is asked again
+   from a new connection, a few times. *)
+let test_finished_connections_pruned () =
+  with_server "prune" @@ fun sock ->
+  for _ = 1 to 5 do
+    let c = Serve.Client.connect sock in
+    Serve.Client.ping c;
+    Serve.Client.close c
+  done;
+  let connections () =
+    let c = Serve.Client.connect sock in
+    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    Option.value ~default:max_int (List.assoc_opt "connections" (Serve.Client.stats c))
+  in
+  let rec settle tries n =
+    if n <= 2 || tries = 0 then n
+    else begin
+      Unix.sleepf 0.1;
+      settle (tries - 1) (connections ())
+    end
+  in
+  let n = settle 10 (connections ()) in
+  if n > 2 then Alcotest.failf "the daemon holds %d connections after five closed" n
+
 let suite =
   [
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
@@ -724,6 +790,7 @@ let suite =
     Alcotest.test_case "recv rejects malformed json" `Quick test_recv_rejects_malformed_json;
     Alcotest.test_case "large frames reuse buffers" `Quick test_large_frames_reuse_buffers;
     Alcotest.test_case "recv memory follows bytes" `Quick test_recv_memory_follows_bytes;
+    Alcotest.test_case "concurrent frames" `Quick test_concurrent_frames;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru replace" `Quick test_lru_replace_no_eviction;
     Alcotest.test_case "lru mem does not promote" `Quick test_lru_mem_does_not_promote;
@@ -738,4 +805,5 @@ let suite =
     Alcotest.test_case "entry points agree" `Quick test_entry_points_agree;
     Alcotest.test_case "expired deadline rejected" `Quick test_expired_deadline_rejected;
     Alcotest.test_case "survives client disconnect" `Quick test_survives_client_disconnect;
+    Alcotest.test_case "finished connections pruned" `Quick test_finished_connections_pruned;
   ]
