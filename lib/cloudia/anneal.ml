@@ -55,6 +55,7 @@ let[@cloudia.hot] run rng kernel (t : Types.problem) options ~deadline ~stop ~im
   (* Hoisted out of the temperature loop: pass A003 keeps this function's
      loop bodies allocation-free. *)
   let moves = ref 0 in
+  let proposed = Delta_cost.proposed kernel in
   while
     !temperature > min_temperature
     && !budget_left > 0
@@ -72,10 +73,15 @@ let[@cloudia.hot] run rng kernel (t : Types.problem) options ~deadline ~stop ~im
       let target = Prng.int rng m in
       if target <> Delta_cost.instance_of kernel node then begin
         let t0 = if timed then Obs.Clock.now_ns () else 0L in
-        let candidate = Delta_cost.propose_move kernel ~node ~target in
+        (* Neither the cost nor the acceptance draw comes back from a call
+           as a float, which is boxed where the call is not inlined;
+           [bits53] scaled by 2^-53 is [Prng.uniform], bit for bit. *)
+        Delta_cost.propose kernel ~node ~target;
+        let candidate = proposed.(0) in
         let delta = candidate -. !cost in
         let accept =
-          delta <= 0.0 || Prng.uniform rng < exp (-.delta /. !temperature)
+          delta <= 0.0
+          || float_of_int (Prng.bits53 rng) *. 0x1p-53 < exp (-.delta /. !temperature)
         in
         if accept then begin
           Delta_cost.commit kernel;

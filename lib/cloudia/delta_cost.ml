@@ -1,13 +1,16 @@
 (* Incremental objective evaluation for local-search moves. See the .mli
    for the contract; the representation notes live here.
 
-   Longest link keeps, per edge, its current cost and the rank of that
-   cost among the distinct values of the cost matrix, plus a count of
-   edges per rank. The maximum is answered by a top-rank pointer that
-   only needs to move down past empty ranks (lazily), because every
-   update that could raise the maximum bumps the pointer up eagerly.
-   Ranks are precomputed per ordered instance pair, and the undo log is a
-   preallocated array, so a proposal allocates nothing on this path.
+   Longest link keeps, per edge, only the rank of its cost among the
+   distinct values of the cost matrix, plus a count of edges per rank.
+   Equal ranks mean compare-equal costs, so ranks alone decide whether a
+   move changed an edge, and an edge reached twice in one swap (the edge
+   between the two moved nodes) is a no-op the second time. The maximum
+   is answered by a top-rank pointer that only needs to move down past
+   empty ranks (lazily), because every update that could raise the
+   maximum bumps the pointer up eagerly. Ranks are precomputed per
+   ordered instance pair, and the undo log is a preallocated array, so a
+   proposal allocates nothing on this path.
 
    Longest path keeps the DAG relaxation array dist.(v) = best path cost
    ending at v. A move can only change dist at topological positions >=
@@ -23,7 +26,6 @@ let c_proposals = Obs.Counter.make "delta.proposals"
 let c_fallbacks = Obs.Counter.make "delta.fallback_evals"
 
 type link_state = {
-  lat : Lat_matrix.buffer; (* hoisted flat cost buffer: direct loads *)
   edge_src : int array;
   edge_dst : int array;
   incident : int array array; (* node -> edge indices (in + out) *)
@@ -32,13 +34,9 @@ type link_state = {
   rank_mat : int array; (* flat [j * m + j'] -> rank of that pair's cost *)
   count : int array; (* rank -> edges currently at this cost *)
   mutable max_rank : int; (* >= highest non-empty rank; exact after queries *)
-  edge_cost : float array;
   edge_rank : int array;
-  touched : int array; (* edge -> stamp of the proposal that last visited it *)
-  mutable stamp : int;
   (* Undo log of the pending proposal, valid on [0, u_len). *)
   u_edge : int array;
-  u_cost : float array;
   u_rank : int array;
   mutable u_len : int;
 }
@@ -88,28 +86,41 @@ type ranks = {
 }
 
 (* Distinct off-diagonal matrix values: every edge cost under every
-   injective plan is one of them, so rank lookup never misses. *)
+   injective plan is one of them, so rank lookup never misses. One
+   stable sort of the off-diagonal cell indices by [Float.compare] puts
+   each class of compare-equal cells (±0 together, every NaN payload
+   together) in one run, in row-major order, so the run's first cell is
+   the class's value: the first one met in a row-major scan. *)
 let ranks_of_matrix lat =
-  let m = Lat_matrix.dim lat in
-  let seen = Hashtbl.create (m * m) in
-  let distinct = ref [] in
-  Lat_matrix.iter
-    (fun j j' c ->
-      if j <> j' && not (Hashtbl.mem seen c) then begin
-        Hashtbl.add seen c ();
-        distinct := c :: !distinct
-      end)
-    lat;
-  let values = Array.of_list !distinct in
-  Array.sort Float.compare values;
-  let rank_of = Hashtbl.create (Array.length values) in
-  Array.iteri (fun r v -> Hashtbl.add rank_of v r) values;
-  let rank_mat =
-    Array.init (m * m) (fun k ->
-        let j = k / m and j' = k mod m in
-        if j = j' then 0 else Hashtbl.find rank_of (Lat_matrix.unsafe_get lat j j'))
-  in
+  let m = Lat_matrix.dim lat and data = Lat_matrix.data lat in
+  let cells = Array.make (m * m) 0.0 in
+  let off = Array.make (max 0 (m * (m - 1))) 0 in
+  let k = ref 0 in
+  for j = 0 to m - 1 do
+    for j' = 0 to m - 1 do
+      let c = (j * m) + j' in
+      cells.(c) <- Bigarray.Array2.unsafe_get data j j';
+      if j <> j' then begin
+        off.(!k) <- c;
+        incr k
+      end
+    done
+  done;
+  Array.stable_sort (fun a b -> Float.compare cells.(a) cells.(b)) off;
+  let rank_mat = Array.make (m * m) 0 in
+  let top = ref (-1) in
+  for q = 0 to Array.length off - 1 do
+    if q = 0 || Float.compare cells.(off.(q - 1)) cells.(off.(q)) <> 0 then incr top;
+    rank_mat.(off.(q)) <- !top
+  done;
+  let values = Array.make (!top + 1) 0.0 in
+  for q = Array.length off - 1 downto 0 do
+    values.(rank_mat.(off.(q))) <- cells.(off.(q))
+  done;
   { r_values = values; r_m = m; r_rank_mat = rank_mat }
+
+let rank_values r = Array.copy r.r_values
+let rank_table r = Array.copy r.r_rank_mat
 
 let make_link ?ranks (problem : Types.problem) =
   let graph = problem.Types.graph in
@@ -135,7 +146,6 @@ let make_link ?ranks (problem : Types.problem) =
   in
   let ne = Array.length edges in
   {
-    lat = Lat_matrix.data lat;
     edge_src = Array.map fst edges;
     edge_dst = Array.map snd edges;
     incident = Array.map (fun l -> Array.of_list l) incident_lists;
@@ -144,12 +154,8 @@ let make_link ?ranks (problem : Types.problem) =
     rank_mat = r.r_rank_mat;
     count = Array.make (max 1 (Array.length r.r_values)) 0;
     max_rank = -1;
-    edge_cost = Array.make ne 0.0;
     edge_rank = Array.make ne 0;
-    touched = Array.make ne 0;
-    stamp = 0;
     u_edge = Array.make ne 0;
-    u_cost = Array.make ne 0.0;
     u_rank = Array.make ne 0;
     u_len = 0;
   }
@@ -159,16 +165,13 @@ let sync_link (t : t) ls =
   ls.max_rank <- -1;
   ls.u_len <- 0;
   for e = 0 to Array.length ls.edge_src - 1 do
-    let j = t.plan.(ls.edge_src.(e)) and j' = t.plan.(ls.edge_dst.(e)) in
-    let c = Bigarray.Array2.unsafe_get ls.lat j j' in
-    let r = ls.rank_mat.((j * ls.m) + j') in
-    ls.edge_cost.(e) <- c;
+    let r = ls.rank_mat.((t.plan.(ls.edge_src.(e)) * ls.m) + t.plan.(ls.edge_dst.(e))) in
     ls.edge_rank.(e) <- r;
     ls.count.(r) <- ls.count.(r) + 1;
     if r > ls.max_rank then ls.max_rank <- r
   done
 
-let link_top ls =
+let[@inline] link_top ls =
   if Array.length ls.edge_src = 0 then 0.0
   else begin
     while ls.max_rank > 0 && ls.count.(ls.max_rank) = 0 do
@@ -299,28 +302,23 @@ let[@cloudia.hot] touch_incident t ls moved =
   let inc = ls.incident.(moved) in
   for k = 0 to Array.length inc - 1 do
     let e = inc.(k) in
-    if ls.touched.(e) <> ls.stamp then begin
-      ls.touched.(e) <- ls.stamp;
-      let j = t.plan.(ls.edge_src.(e)) and j' = t.plan.(ls.edge_dst.(e)) in
-      let c = Bigarray.Array2.unsafe_get ls.lat j j' in
-      if c <> ls.edge_cost.(e) then begin
-        let r_old = ls.edge_rank.(e) in
-        let r_new = ls.rank_mat.((j * ls.m) + j') in
-        let u = ls.u_len in
-        ls.u_edge.(u) <- e;
-        ls.u_cost.(u) <- ls.edge_cost.(e);
-        ls.u_rank.(u) <- r_old;
-        ls.u_len <- u + 1;
-        ls.count.(r_old) <- ls.count.(r_old) - 1;
-        ls.count.(r_new) <- ls.count.(r_new) + 1;
-        if r_new > ls.max_rank then ls.max_rank <- r_new;
-        ls.edge_cost.(e) <- c;
-        ls.edge_rank.(e) <- r_new
-      end
+    let r_old = ls.edge_rank.(e) in
+    let r_new = ls.rank_mat.((t.plan.(ls.edge_src.(e)) * ls.m) + t.plan.(ls.edge_dst.(e))) in
+    if r_new <> r_old then begin
+      let u = ls.u_len in
+      ls.u_edge.(u) <- e;
+      ls.u_rank.(u) <- r_old;
+      ls.u_len <- u + 1;
+      ls.count.(r_old) <- ls.count.(r_old) - 1;
+      ls.count.(r_new) <- ls.count.(r_new) + 1;
+      if r_new > ls.max_rank then ls.max_rank <- r_new;
+      ls.edge_rank.(e) <- r_new
     end
   done
 
-let[@cloudia.hot] propose_move t ~node ~target =
+(* The proposal's cost goes to [t.p_cost.(0)], not to a result: a float
+   returned from a call that is not inlined is boxed. *)
+let[@cloudia.hot] propose t ~node ~target =
   if t.p_active then invalid_arg "Delta_cost.propose: a proposal is pending";
   let n = Array.length t.plan and m = Array.length t.node_of in
   if node < 0 || node >= n then invalid_arg "Delta_cost.propose: node out of range";
@@ -335,38 +333,39 @@ let[@cloudia.hot] propose_move t ~node ~target =
   if other <> -1 then t.plan.(other) <- source;
   t.proposals <- t.proposals + 1;
   t.p_prefix <- 0;
-  let candidate =
-    match t.repr with
-    | Opaque eval ->
-        t.fallbacks <- t.fallbacks + 1;
-        eval t.plan
-    | Link ls ->
-        ls.stamp <- ls.stamp + 1;
-        ls.u_len <- 0;
-        touch_incident t ls node;
-        if other <> -1 then touch_incident t ls other;
-        link_top ls
-    | Path ps ->
-        let prefix =
-          if other = -1 then ps.pos.(node) else min ps.pos.(node) ps.pos.(other)
-        in
-        if prefix = 0 then t.fallbacks <- t.fallbacks + 1;
-        relax_suffix t ps ~into:ps.scratch ~from:prefix;
-        let best = ref 0.0 in
-        for v = 0 to Array.length ps.order - 1 do
-          let d = if ps.pos.(v) >= prefix then ps.scratch.(v) else ps.dist.(v) in
-          if d > !best then best := d
-        done;
-        t.p_prefix <- prefix;
-        !best
-  in
+  (match t.repr with
+  | Opaque eval ->
+      t.fallbacks <- t.fallbacks + 1;
+      t.p_cost.(0) <- eval t.plan
+  | Link ls ->
+      ls.u_len <- 0;
+      touch_incident t ls node;
+      if other <> -1 then touch_incident t ls other;
+      t.p_cost.(0) <- link_top ls
+  | Path ps ->
+      let prefix =
+        if other = -1 then ps.pos.(node) else min ps.pos.(node) ps.pos.(other)
+      in
+      if prefix = 0 then t.fallbacks <- t.fallbacks + 1;
+      relax_suffix t ps ~into:ps.scratch ~from:prefix;
+      let best = ref 0.0 in
+      for v = 0 to Array.length ps.order - 1 do
+        let d = if ps.pos.(v) >= prefix then ps.scratch.(v) else ps.dist.(v) in
+        if d > !best then best := d
+      done;
+      t.p_prefix <- prefix;
+      t.p_cost.(0) <- !best);
   t.p_active <- true;
   t.p_node <- node;
   t.p_other <- other;
   t.p_source <- source;
-  t.p_target <- target;
-  t.p_cost.(0) <- candidate;
-  candidate
+  t.p_target <- target
+
+let[@inline] propose_move t ~node ~target =
+  propose t ~node ~target;
+  t.p_cost.(0)
+
+let proposed t = t.p_cost
 
 let propose_swap t a b =
   if a = b then invalid_arg "Delta_cost.propose_swap: the two nodes must differ";
@@ -411,7 +410,6 @@ let abort t =
         (* The lazy top pointer may have slid past a rank this undo
            repopulates; restore the upper-bound invariant. *)
         if ls.u_rank.(k) > ls.max_rank then ls.max_rank <- ls.u_rank.(k);
-        ls.edge_cost.(e) <- ls.u_cost.(k);
         ls.edge_rank.(e) <- ls.u_rank.(k)
       done;
       ls.u_len <- 0

@@ -11,7 +11,8 @@
     - {b longest link}: per-node incident-edge arrays locate the O(deg)
       affected edges, and a bucketed max structure over the distinct cost
       values of the matrix (rank counts plus a lazily decremented top
-      pointer) re-answers the maximum without a scan;
+      pointer) re-answers the maximum without a scan. Edges are tracked
+      by rank alone: equal ranks mean compare-equal costs;
     - {b longest path}: the DAG relaxation is re-run only over the
       topological suffix starting at the earliest moved node
       (affected-prefix re-relaxation); when a moved node sits at
@@ -40,13 +41,26 @@ type t
 
 type ranks
 (** The plan-independent half of a longest-link kernel: the distinct
-    off-diagonal cost values and the per-ordered-pair rank table. O(m²)
-    to build, immutable afterwards — compute it once per cost matrix
+    off-diagonal cost values and the per-ordered-pair rank table.
+    O(m² log m) to build, immutable afterwards — compute it once per cost matrix
     (keyed by {!Lat_matrix.fingerprint}) and pass it to every {!create}
     over the same matrix to skip the rebuild. *)
 
 val ranks_of_matrix : Lat_matrix.t -> ranks
-(** Build the rank table for a cost matrix. *)
+(** Build the rank table for a cost matrix: one stable sort of the
+    off-diagonal cell indices by [Float.compare] over a flat copy of the
+    cells, O(m² log m), allocating only the copy, the index array, the
+    sort's buffer and the two tables. *)
+
+val rank_values : ranks -> float array
+(** A copy of the distinct off-diagonal values, ascending by
+    [Float.compare]. Each stands for a class of compare-equal cells (±0
+    are one class, and so are all NaNs) and is the class's first cell
+    in row-major order. *)
+
+val rank_table : ranks -> int array
+(** A copy of the flat rank table: entry [j * m + j'] is the index in
+    {!rank_values} of cell [(j, j')]'s class, and 0 on the diagonal. *)
 
 val create : ?ranks:ranks -> Cost.objective -> Types.problem -> Types.plan -> t
 (** [create objective problem plan] validates [plan] (a partial injection
@@ -94,6 +108,18 @@ val propose_move : t -> node:int -> target:int -> float
     longest link; O(suffix) for longest path; O(full eval) for opaque
     kernels. Raises [Invalid_argument] if a proposal is already pending,
     an index is out of range, or [node] already occupies [target]. *)
+
+val propose : t -> node:int -> target:int -> unit
+(** [propose t ~node ~target] is {!propose_move} with the cost left in
+    [(proposed t).(0)] instead of returned. *)
+
+val proposed : t -> float array
+(** The one-element array every proposal writes its cost to. Borrowed:
+    read it, never write it. A float returned from a call that is not
+    inlined is boxed (2 words): {!propose_move} is inlined only where the
+    compiler sees across modules (not in [-opaque] builds), so a search
+    loop that hoists this array and reads the cost from it allocates
+    nothing per move in every build. *)
 
 val propose_swap : t -> int -> int -> float
 (** [propose_swap t a b] proposes exchanging the instances of nodes [a]

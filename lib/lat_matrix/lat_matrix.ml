@@ -117,21 +117,21 @@ let equal a b =
 
 (* FNV-1a over the float64 bit patterns in row-major order, seeded with
    the dimension. Bit-level, so +0.0 vs -0.0 and distinct NaN payloads
-   hash apart — exactly the distinctions [equal] draws. *)
+   hash apart — exactly the distinctions [equal] draws. Each word is
+   mixed as its 8 little-endian bytes. The accumulator is a local ref
+   that never escapes, so it stays an unboxed register: the whole hash
+   allocates only its result. *)
 let fingerprint t =
   let n = dim t in
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let mix_byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime in
-  let mix_int64 v =
+  for c = -1 to (n * n) - 1 do
+    let v =
+      if c < 0 then Int64.of_int n
+      else Int64.bits_of_float (Bigarray.Array2.unsafe_get t.data (c / n) (c mod n))
+    in
     for k = 0 to 7 do
-      mix_byte (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xffL))
-    done
-  in
-  mix_int64 (Int64.of_int n);
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      mix_int64 (Int64.bits_of_float (Bigarray.Array2.unsafe_get t.data i j))
+      let byte = Int64.logand (Int64.shift_right_logical v (8 * k)) 0xffL in
+      h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
     done
   done;
   !h

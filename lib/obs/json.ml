@@ -812,9 +812,39 @@ let write b off v =
   put w v;
   (w.b, w.o)
 
+(* ---- spare buffers ---- *)
+
+(* One slot per use, holding the largest buffer seen up to
+   [spare_limit]. Whoever takes the spare uses it, and a concurrent
+   taker starts a fresh buffer of its own. A buffer goes back only if
+   it is larger than the spare there, so a small document cannot evict
+   a large spare. *)
+type spare = bytes Atomic.t
+
+let spare_limit = 1 lsl 20
+let spare () = Atomic.make Bytes.empty
+
+let take spare size =
+  let b = Atomic.exchange spare Bytes.empty in
+  if Bytes.length b > 0 then b else Bytes.create size
+
+let rec give_back spare b =
+  let held = Atomic.get spare in
+  if
+    Bytes.length b > Bytes.length held
+    && Bytes.length b <= spare_limit
+    && not (Atomic.compare_and_set spare held b)
+  then give_back spare b
+
+(* The text is copied out before the buffer goes back: from then on
+   another domain may write into it. *)
+let string_spare = spare ()
+
 let to_string v =
-  let b, n = write (Bytes.create 256) 0 v in
-  Bytes.sub_string b 0 n
+  let b, n = write (take string_spare 256) 0 v in
+  let s = Bytes.sub_string b 0 n in
+  give_back string_spare b;
+  s
 
 let of_float f = if Float.is_finite f then Num (print17 f) else Null
 let of_int i = Num (string_of_int i)

@@ -59,6 +59,8 @@ val parse : ?len:int -> string -> t
     raw, [Null]/[Bool] as literals, with no whitespace. *)
 
 val to_string : t -> string
+(** Written into {!to_string}'s spare and copied out, so a warm call
+    allocates about the string it returns. *)
 
 val write : bytes -> int -> t -> bytes * int
 (** [write b off v] writes the text of [to_string v] from offset [off]
@@ -87,6 +89,30 @@ val of_float : float -> t
 
 val of_int : int -> t
 val of_int64 : int64 -> t
+
+(** {2 Spare buffers}
+
+    A document is written into a buffer that doubles as it fills, so a
+    fresh buffer per document is all of its intermediate sizes in
+    garbage. Instead each use keeps one spare: {!to_string} has its own,
+    and [Serve.Protocol] keeps one for sending and one for receiving. *)
+
+type spare
+(** A slot holding at most one buffer. Safe to share between domains:
+    a buffer is only ever held by the slot or by one taker. *)
+
+val spare : unit -> spare
+(** An empty slot. *)
+
+val take : spare -> int -> bytes
+(** [take s size] empties [s] and returns the buffer it held, or a
+    fresh buffer of [size] bytes when it held none. The caller owns the
+    buffer until it gives it back. *)
+
+val give_back : spare -> bytes -> unit
+(** [give_back s b] puts [b] in [s] if [b] is longer than the buffer
+    [s] holds and at most 1 MiB long; otherwise [b] is dropped. The
+    caller must not touch [b] afterwards. *)
 
 (** {2 Numbers} *)
 

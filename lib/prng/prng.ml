@@ -38,10 +38,10 @@ let int_in t lo hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let uniform t =
-  (* 53 random bits into [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float r *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* 53 random bits into [0,1). *)
+let uniform t = float_of_int (bits53 t) *. (1.0 /. 9007199254740992.0)
 
 let float t bound =
   if bound <= 0. then invalid_arg "Prng.float: bound must be positive";

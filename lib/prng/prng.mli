@@ -36,6 +36,13 @@ val float : t -> float -> float
 val uniform : t -> float
 (** [uniform t] is uniform in \[0, 1). *)
 
+val bits53 : t -> int
+(** The 53 random bits behind {!uniform}, from the same single draw:
+    [uniform t] is [float_of_int (bits53 t) *. 0x1p-53]. An [int] is
+    never boxed, so a hot loop that scales the draw itself allocates
+    nothing per draw, while a float returned from a call that is not
+    inlined is boxed. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

@@ -356,34 +356,20 @@ let write_frame fd payload =
    peak RSS rose 3 % with a buffer per frame). So one rule serves both
    directions: a frame buffer grows by doubling, and sending and
    receiving each keep one spare. Whoever takes a spare uses it, and a
-   concurrent frame starts a fresh buffer of its own. A buffer goes back
-   only if it is larger than the spare there, up to [spare_limit], so a
-   small frame cannot evict a large spare. A payload known to be under
-   [small_frame] is read into a buffer of its own, in the minor heap. *)
-let spare_limit = 1 lsl 20
+   concurrent frame starts a fresh buffer of its own ([Json.take] and
+   [Json.give_back]). A payload known to be under [small_frame] is read
+   into a buffer of its own, in the minor heap. *)
 let fresh_size = 1 lsl 16
 let small_frame = 2048
-let send_spare = Atomic.make Bytes.empty
-let recv_spare = Atomic.make Bytes.empty
-
-let take spare size =
-  let b = Atomic.exchange spare Bytes.empty in
-  if Bytes.length b > 0 then b else Bytes.create size
-
-let rec give_back spare b =
-  let held = Atomic.get spare in
-  if
-    Bytes.length b > Bytes.length held
-    && Bytes.length b <= spare_limit
-    && not (Atomic.compare_and_set spare held b)
-  then give_back spare b
+let send_spare = Json.spare ()
+let recv_spare = Json.spare ()
 
 (* The document is written after the header, in place, and the frame
    goes out as one buffer. *)
 let send fd json =
-  let buf, stop = Json.write (take send_spare fresh_size) 4 json in
+  let buf, stop = Json.write (Json.take send_spare fresh_size) 4 json in
   Fun.protect
-    ~finally:(fun () -> give_back send_spare buf)
+    ~finally:(fun () -> Json.give_back send_spare buf)
     (fun () ->
       set_header buf (stop - 4);
       really_write Unix.write fd buf stop)
@@ -398,9 +384,9 @@ let send_reply fd r = send fd (json_of_reply r)
    header claims. *)
 let[@cloudia.hot] with_payload fd len f =
   let small = len < small_frame in
-  let buf = ref (if small then Bytes.create len else take recv_spare (min len fresh_size)) in
+  let buf = ref (if small then Bytes.create len else Json.take recv_spare (min len fresh_size)) in
   let got = ref 0 in
-  Fun.protect ~finally:(fun () -> if not small then give_back recv_spare !buf) @@ fun () ->
+  Fun.protect ~finally:(fun () -> if not small then Json.give_back recv_spare !buf) @@ fun () ->
   while !got < len do
     if !got = Bytes.length !buf then begin
       let bigger = Bytes.create (min len (2 * !got)) in

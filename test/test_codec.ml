@@ -352,20 +352,24 @@ let allocated_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* A serve-mix-sized job, 77 instances of latencies with 17 significant
-   digits, sent and received over a socket pair the way the client and
+(* A serve-mix-sized job: an 8x8 mesh over 77 instances of latencies
+   with 17 significant digits. *)
+let serve_mix_job seed =
+  let rng = Random.State.make [| seed |] in
+  let costs =
+    Lat_matrix.init 77 (fun i j -> if i = j then 0.0 else 0.2 +. Random.State.float rng 1.8)
+  in
+  { (job costs) with graph = Graphs.Templates.mesh2d ~rows:8 ~cols:8 }
+
+(* The job, sent and received over a socket pair the way the client and
    the daemon do. The reference codec allocated 395 k and 455 k minor
    words to encode and decode it. The send/recv round now measures 29.8 k
    words, none per matrix cell: one float array per matrix row each way
    (12.6 k), the graph's 224 edges as JSON each way, and 1.4 k for
    [Digraph.create]'s adjacency. The frame buffers are reused. *)
 let test_codec_allocation () =
-  let rng = Random.State.make [| 77 |] in
-  let costs =
-    Lat_matrix.init 77 (fun i j -> if i = j then 0.0 else 0.2 +. Random.State.float rng 1.8)
-  in
-  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
-  let req = Serve.Protocol.Advise { (job costs) with graph = mesh } in
+  let job = serve_mix_job 77 in
+  let costs = job.costs and req = Serve.Protocol.Advise job in
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
   (* the 118 KB frame must fit the socket's buffers before it is read *)
@@ -385,6 +389,45 @@ let test_codec_allocation () =
   let gate = 30_000.0 in
   if words > gate then
     Alcotest.failf "send + recv of a 77x77 job: %.0f words, over the %.0f gate" words gate
+
+let serve_mix_document seed =
+  Serve.Protocol.json_of_request (Serve.Protocol.Advise (serve_mix_job seed))
+
+(* A warm [to_string] writes into its spare buffer and allocates about
+   the string it returns (115 KB, 14.4 k of its 14.9 k words). Growing a fresh buffer
+   from 256 bytes by doubling allocated 47.3 k. *)
+let test_to_string_allocation () =
+  let doc = serve_mix_document 77 in
+  let text = Json.to_string doc in
+  let before = allocated_words () in
+  let again = Json.to_string doc in
+  let words = allocated_words () -. before in
+  Alcotest.(check string) "same text" text again;
+  if String.length text < 100_000 then Alcotest.failf "a %d-byte document" (String.length text);
+  let gate = 16_000.0 in
+  if words > gate then
+    Alcotest.failf "to_string of a %d-byte document: %.0f words, over the %.0f gate"
+      (String.length text) words gate
+
+(* Two domains share [to_string]'s spare: each writes its own document
+   200 times, and every text must equal the one written alone. A buffer
+   given back while still read, or taken by two writers at once, mixes
+   the texts. *)
+let test_to_string_two_domains () =
+  let docs = [| serve_mix_document 1; serve_mix_document 2 |] in
+  let texts = Array.map Json.to_string docs in
+  let worker k () =
+    let bad = ref 0 in
+    for _ = 1 to 200 do
+      if Json.to_string docs.(k) <> texts.(k) then incr bad
+    done;
+    !bad
+  in
+  let other = Domain.spawn (worker 1) in
+  let here = worker 0 () in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "texts that differ from the one written alone" (0, 0)
+    (here, there)
 
 (* ---------- the decimal reader ---------- *)
 
@@ -543,4 +586,6 @@ let suite =
     Alcotest.test_case "reader = float_of_string on the number language" `Quick
       test_reader_number_language;
     Alcotest.test_case "reader = float_of_string on edges and ties" `Quick test_reader_edges;
+    Alcotest.test_case "to_string allocation gate" `Quick test_to_string_allocation;
+    Alcotest.test_case "to_string on two domains" `Quick test_to_string_two_domains;
   ]

@@ -68,10 +68,26 @@ let drive objective problem seed ~steps =
 
 (* ---------- kernel equivalence ---------- *)
 
+(* Costs drawn from a few values, +0 and -0 among them: most moves leave
+   an edge at a compare-equal cost, and the edge between two swapped
+   nodes is reached from both of them. *)
+let tied_link_problem seed =
+  let rng = Prng.create seed in
+  let graph = Graphs.Templates.random_connected rng ~n:6 ~extra_edges:4 in
+  let pool = [| 0.0; -0.0; 0.25; 0.5; 0.5; 1.0 |] in
+  let costs =
+    Array.init 9 (fun j ->
+        Array.init 9 (fun j' -> if j = j' then 0.0 else pool.(Prng.int rng (Array.length pool))))
+  in
+  Types.problem ~graph ~costs
+
 let test_link_equivalence () =
   for seed = 1 to 5 do
-    let checked = drive Cost.Longest_link (link_problem seed) (seed + 100) ~steps:300 in
-    Alcotest.(check bool) "exercised" true (checked > 100)
+    List.iter
+      (fun problem ->
+        let checked = drive Cost.Longest_link problem (seed + 100) ~steps:300 in
+        Alcotest.(check bool) "exercised" true (checked > 100))
+      [ link_problem seed; tied_link_problem seed ]
   done
 
 let test_path_equivalence () =
@@ -144,39 +160,46 @@ let test_path_equivalence_serve_mix_shape () =
       ("aborts", !aborts);
     ]
 
-(* A warm propose -> commit/abort cycle on the same shape allocates
-   nothing but the float each proposal returns: a function result is
-   boxed (2 words) in OCaml's calling convention, and the suffix
-   re-relaxation adds no closure, ref or boxed float of its own. The
-   moves are drawn before measuring, so only the kernel runs inside the
-   window. *)
+(* A warm propose -> commit/abort cycle allocates nothing, on the
+   serve-mix LPNDP shape and on an 8x8 mesh over 77 instances (LLNDP):
+   the cost is read from [Delta_cost.proposed], so no float crosses a
+   call boxed, and neither kernel conses a closure, ref or float of its
+   own. The moves are drawn before measuring, so only the kernel runs
+   inside the window. *)
 let test_path_kernel_allocation_ceiling () =
-  let problem = serve_mix_dag 7 in
   let rng = Prng.create 707 in
-  let n = Types.node_count problem and m = Types.instance_count problem in
-  let moves = 1000 in
-  let nodes = Array.init moves (fun _ -> Prng.int rng n) in
-  let targets = Array.init moves (fun _ -> Prng.int rng m) in
-  let keep = Array.init moves (fun _ -> Prng.bool rng) in
-  let kernel = Delta_cost.create Cost.Longest_path problem (Types.random_plan rng problem) in
-  let cycle () =
-    for k = 0 to moves - 1 do
-      if targets.(k) <> Delta_cost.instance_of kernel nodes.(k) then begin
-        ignore (Delta_cost.propose_move kernel ~node:nodes.(k) ~target:targets.(k) : float);
-        if keep.(k) then Delta_cost.commit kernel else Delta_cost.abort kernel
-      end
-    done
-  in
-  cycle ();
-  let proposed = Delta_cost.proposals kernel in
-  let before = Gc.minor_words () in
-  cycle ();
-  let words = Gc.minor_words () -. before in
-  let proposals = Delta_cost.proposals kernel - proposed in
-  let returned = 2.0 *. float_of_int proposals in
-  if words > returned then
-    Alcotest.failf "%d proposals allocated %.0f minor words, %.0f beyond their boxed results"
-      proposals words (words -. returned)
+  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
+  let mesh_problem = Types.of_matrix ~graph:mesh (serve_mix_dag 7).Types.lat in
+  List.iter
+    (fun (objective, problem) ->
+      let n = Types.node_count problem and m = Types.instance_count problem in
+      let moves = 1000 in
+      let nodes = Array.init moves (fun _ -> Prng.int rng n) in
+      let targets = Array.init moves (fun _ -> Prng.int rng m) in
+      let keep = Array.init moves (fun _ -> Prng.bool rng) in
+      let kernel = Delta_cost.create objective problem (Types.random_plan rng problem) in
+      let proposed = Delta_cost.proposed kernel in
+      let sum = [| 0.0 |] in
+      let cycle () =
+        for k = 0 to moves - 1 do
+          if targets.(k) <> Delta_cost.instance_of kernel nodes.(k) then begin
+            Delta_cost.propose kernel ~node:nodes.(k) ~target:targets.(k);
+            sum.(0) <- sum.(0) +. proposed.(0);
+            if keep.(k) then Delta_cost.commit kernel else Delta_cost.abort kernel
+          end
+        done
+      in
+      cycle ();
+      let proposed_before = Delta_cost.proposals kernel in
+      let before = Gc.minor_words () in
+      cycle ();
+      let words = Gc.minor_words () -. before in
+      let proposals = Delta_cost.proposals kernel - proposed_before in
+      if proposals < 500 then Alcotest.failf "only %d proposals" proposals;
+      if words > 0.0 then
+        Alcotest.failf "%s: %d proposals allocated %.0f minor words"
+          (Cost.objective_to_string objective) proposals words)
+    [ (Cost.Longest_path, serve_mix_dag 7); (Cost.Longest_link, mesh_problem) ]
 
 let test_opaque_equivalence () =
   (* The arbitrary-eval fallback must obey the same protocol; here with a
@@ -403,6 +426,188 @@ let test_improvement_guards_non_positive_default () =
   check_float "positive default unchanged" 25.0
     (Cost.improvement ~default:4.0 ~optimized:3.0)
 
+(* ---------- the rank table ---------- *)
+
+(* The rank table as it was first built: a float-keyed [Hashtbl] of the
+   distinct off-diagonal values, met in a row-major scan, then sorted.
+   [Hashtbl] hashes ±0 alike and every NaN alike, and compares keys with
+   [compare], so each class of compare-equal cells keeps its first cell
+   in row-major order as its value. *)
+let hashtbl_ranks lat =
+  let m = Lat_matrix.dim lat in
+  let seen = Hashtbl.create (m * m) in
+  let distinct = ref [] in
+  Lat_matrix.iter
+    (fun j j' c ->
+      if j <> j' && not (Hashtbl.mem seen c) then begin
+        Hashtbl.add seen c ();
+        distinct := c :: !distinct
+      end)
+    lat;
+  let values = Array.of_list !distinct in
+  Array.sort Float.compare values;
+  let rank_of = Hashtbl.create (Array.length values) in
+  Array.iteri (fun r v -> Hashtbl.add rank_of v r) values;
+  let table =
+    Array.init (m * m) (fun k ->
+        let j = k / m and j' = k mod m in
+        if j = j' then 0 else Hashtbl.find rank_of (Lat_matrix.get lat j j'))
+  in
+  (values, table)
+
+let nan_payloads =
+  Array.map Int64.float_of_bits
+    [| 0x7ff8000000000000L; 0x7ff0000000000001L; 0xfff8000000000000L; 0x7ff8dead0000beefL |]
+
+(* A cell drawn from a mix of repeats, ±0, NaN payloads, infinities and
+   fresh values. *)
+let awkward_cell rng =
+  match Prng.int rng 8 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> nan_payloads.(Prng.int rng (Array.length nan_payloads))
+  | 3 -> if Prng.bool rng then Float.infinity else Float.neg_infinity
+  | 4 | 5 -> float_of_int (Prng.int rng 4) *. 0.5
+  | _ -> Prng.float rng 2.0
+
+let test_ranks_match_hashtbl () =
+  let check name lat =
+    let values, table = hashtbl_ranks lat in
+    let r = Delta_cost.ranks_of_matrix lat in
+    let got = Delta_cost.rank_values r in
+    Alcotest.(check (array int64))
+      (name ^ ": values, bit for bit")
+      (Array.map Int64.bits_of_float values)
+      (Array.map Int64.bits_of_float got);
+    Alcotest.(check (array int)) (name ^ ": rank table") table (Delta_cost.rank_table r)
+  in
+  let rng = Prng.create 2525 in
+  for m = 0 to 3 do
+    check (Printf.sprintf "%dx%d zeros" m m) (Lat_matrix.create m);
+    for trial = 1 to 20 do
+      check
+        (Printf.sprintf "%dx%d awkward #%d" m m trial)
+        (Lat_matrix.init m (fun j j' -> if j = j' then 0.0 else awkward_cell rng))
+    done
+  done;
+  check "77x77 serve-mix shape" (serve_mix_dag 3).Types.lat;
+  (* The diagonal is awkward too: it must not count. *)
+  for trial = 1 to 20 do
+    let m = 4 + Prng.int rng 40 in
+    check
+      (Printf.sprintf "%dx%d awkward #%d" m m trial)
+      (Lat_matrix.init m (fun _ _ -> awkward_cell rng))
+  done
+
+(* ---------- golden anneal plans ---------- *)
+
+(* Plans and cost bits of seeded anneals, computed before the rank-only
+   kernel, the sort-built rank table and the in-place proposal cost, so
+   that those rewrites (and any later one) must keep every plan. LLNDP:
+   an 8x8 mesh over 77 instances whose costs are rounded to 1 µs, so
+   thousands of cells tie. LPNDP: a 64-node DAG over 77 instances. *)
+let golden_ll =
+  [
+    ( 1,
+      "3ffea7ef9db22d0e",
+      "47 27 34 71 28 3 36 53 75 74 37 69 67 29 76 73 70 41 20 12 33 24 60 58 8 13 6 21 31 64 \
+       49 18 39 56 57 14 17 30 42 50 68 72 0 9 54 32 35 61 5 15 51 19 26 55 46 40 7 65 23 4 22 \
+       48 52 10" );
+    ( 2,
+      "3ffea7ef9db22d0e",
+      "32 54 5 60 55 18 30 27 38 28 7 16 56 31 61 35 58 74 63 13 64 73 67 12 37 15 43 69 41 10 \
+       53 3 24 49 45 62 21 51 29 19 66 36 20 14 17 34 46 71 68 2 8 72 42 9 50 52 59 57 0 25 1 \
+       26 4 76" );
+    ( 3,
+      "3ffec083126e978d",
+      "5 32 22 25 48 40 55 11 76 47 15 49 8 18 70 72 6 52 28 7 56 19 34 67 29 3 21 68 73 64 50 \
+       61 71 63 10 20 31 26 36 16 74 57 17 65 12 13 33 9 44 2 53 69 62 60 1 30 4 41 43 46 38 \
+       42 35 14" );
+  ]
+
+let golden_lp =
+  [
+    ( 1,
+      "401cfecf10f28cdc",
+      "45 68 58 46 74 41 20 43 38 66 35 10 21 31 48 23 42 3 1 71 17 57 18 53 37 69 72 70 19 4 \
+       65 62 56 26 36 51 33 7 2 73 75 64 15 25 55 28 52 9 8 59 6 11 30 12 32 61 60 63 24 67 13 \
+       0 49 50" );
+    ( 2,
+      "401c4a6617dda823",
+      "50 42 31 73 29 15 45 35 74 76 33 65 68 28 22 48 23 32 64 61 4 60 18 10 7 19 49 72 13 21 \
+       34 43 58 14 17 70 52 69 75 38 66 47 2 39 44 30 3 27 59 53 5 8 56 1 41 71 12 20 16 6 37 \
+       9 57 67" );
+    ( 3,
+      "401ccce205f74906",
+      "41 39 54 49 63 14 6 1 13 37 57 30 44 22 68 4 72 11 61 50 59 60 74 16 20 34 33 9 67 42 \
+       24 48 27 47 32 43 29 66 46 8 5 70 12 73 18 75 26 71 35 76 7 2 15 23 65 31 38 19 62 51 \
+       64 21 40 0" );
+  ]
+
+let golden_matrix ~quantize seed =
+  let rng = Prng.create seed in
+  Lat_matrix.init 77 (fun i j ->
+      if i = j then 0.0
+      else
+        let c = 0.2 +. Prng.float rng 1.8 in
+        if quantize then Float.round (c *. 1000.0) /. 1000.0 else c)
+
+let test_golden_anneal_plans () =
+  let run objective moves problem (seed, cost_bits, plan) =
+    let options = { Anneal.default_options with time_limit = 600.0; max_moves = Some moves } in
+    let r = Anneal.solve_objective ~options (Prng.create seed) objective problem in
+    let name = Printf.sprintf "%s seed %d" (Cost.objective_to_string objective) seed in
+    Alcotest.(check string) (name ^ " cost bits") cost_bits
+      (Printf.sprintf "%Lx" (Int64.bits_of_float r.Anneal.cost));
+    Alcotest.(check string) (name ^ " plan") plan
+      (String.concat " " (Array.to_list (Array.map string_of_int r.Anneal.plan)))
+  in
+  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
+  let ll = Types.of_matrix ~graph:mesh (golden_matrix ~quantize:true 25) in
+  List.iter (run Cost.Longest_link 20_000 ll) golden_ll;
+  let dag = Graphs.Templates.random_dag (Prng.create 25) ~n:64 ~edge_prob:0.08 in
+  let lp = Types.of_matrix ~graph:dag (golden_matrix ~quantize:false 26) in
+  List.iter (run Cost.Longest_path 4_000 lp) golden_lp
+
+(* ---------- anneal allocation ---------- *)
+
+(* A matrix as serve-mix measures one: 77 EC2 instances. *)
+let ec2_matrix seed =
+  let rng = Prng.create seed in
+  let env =
+    Cloudsim.Env.allocate rng (Cloudsim.Provider.get Cloudsim.Provider.Ec2) ~count:77
+  in
+  Metrics.estimate rng env Metrics.Mean ~samples_per_pair:10
+
+(* A warm anneal at serve-mix shape allocates its kernel, its plans and
+   the few words of each temperature step and each improvement, but
+   nothing per move: 14.1 k words for the LLNDP solve and 3.2 k for the
+   LPNDP one. Before the rank-only kernel and the in-place proposal
+   cost they took 96.3 k and 12.9 k. *)
+let test_anneal_allocation_ceilings () =
+  let lat = ec2_matrix 1 in
+  let ranks = Delta_cost.ranks_of_matrix lat in
+  let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
+  let dag = Graphs.Templates.random_dag (Prng.create 5) ~n:64 ~edge_prob:0.08 in
+  List.iter
+    (fun (objective, graph, moves, gate) ->
+      let problem = Types.of_matrix ~graph lat in
+      let options = { Anneal.default_options with time_limit = 600.0; max_moves = Some moves } in
+      let solve seed =
+        Anneal.solve_objective ~options ~ranks (Prng.create seed) objective problem
+      in
+      ignore (solve 1 : Anneal.result);
+      let before = Test_codec.allocated_words () in
+      let r = solve 2 in
+      let words = Test_codec.allocated_words () -. before in
+      Alcotest.(check int) "moves tried" moves r.Anneal.moves_tried;
+      if words > gate then
+        Alcotest.failf "%s anneal of %d moves: %.0f words, over the %.0f gate"
+          (Cost.objective_to_string objective) moves words gate)
+    [
+      (Cost.Longest_link, mesh, 20_000, 16_000.0); (Cost.Longest_path, dag, 4_000, 8_000.0);
+    ]
+
 (* ---------- qcheck properties ---------- *)
 
 let qcheck_props =
@@ -447,5 +652,8 @@ let suite =
       test_witness_agrees_with_longest_link;
     Alcotest.test_case "improvement guards non-positive default (regression)" `Quick
       test_improvement_guards_non_positive_default;
+    Alcotest.test_case "ranks match the hashtbl construction" `Quick test_ranks_match_hashtbl;
+    Alcotest.test_case "golden anneal plans" `Quick test_golden_anneal_plans;
+    Alcotest.test_case "anneal allocation ceilings" `Quick test_anneal_allocation_ceilings;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

@@ -229,6 +229,18 @@ let test_fingerprint_constants () =
   Alcotest.(check int64) "int64 form" 0xf9e5dbbb5d8fa148L
     (Lat_matrix.fingerprint (Lat_matrix.of_arrays golden_matrix))
 
+(* The hash keeps its accumulator in a register: a 77x77 matrix costs
+   the boxed result and the counting's own few words, not the 27 words
+   per cell that a closure per byte and a boxed accumulator cost. *)
+let test_fingerprint_allocation () =
+  let m = Lat_matrix.init 77 (fun i j -> float_of_int ((i * 77) + j) *. 0.001) in
+  ignore (Lat_matrix.fingerprint m : int64);
+  let before = Test_codec.allocated_words () in
+  let h = Lat_matrix.fingerprint m in
+  let used = Test_codec.allocated_words () -. before in
+  Alcotest.(check string) "same hash" (Lat_matrix.fingerprint_hex m) (Printf.sprintf "%016Lx" h);
+  if used > 64.0 then Alcotest.failf "fingerprint of 77x77: %.0f words, over 64" used
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:false binary_roundtrip_exact;
@@ -241,4 +253,5 @@ let suite =
     Alcotest.test_case "shape and bounds errors" `Quick test_shape_and_bounds_errors;
     Alcotest.test_case "golden Cost.eval bits" `Quick test_golden_cost_eval;
     Alcotest.test_case "fingerprint constants" `Quick test_fingerprint_constants;
+    Alcotest.test_case "fingerprint allocation" `Quick test_fingerprint_allocation;
   ]

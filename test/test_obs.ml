@@ -743,6 +743,29 @@ let test_resource_counts_minor_words () =
           if w < 30_000.0 then Alcotest.failf "span reports %.0f minor words, under 30000" w
       | l -> Alcotest.failf "expected one Gc_delta for the span, got %d" (List.length l))
 
+(* A block over 256 words is allocated straight into the major heap.
+   [Gc.quick_stat] counts it only at the next major slice, so a span can
+   read 0 words for it and a later span its words too; each of these
+   spans must report its own 115,000 bytes (14,375 words). *)
+let test_resource_counts_major_words () =
+  with_tracing (fun () ->
+      for _ = 1 to 4 do
+        Obs.Resource.with_ "big" (fun () -> ignore (Sys.opaque_identity (Bytes.create 115_000)))
+      done;
+      let major =
+        List.filter_map
+          (fun (e : Obs.Event.t) ->
+            match e.Obs.Event.payload with
+            | Obs.Event.Gc_delta { span = "big"; major_words; _ } -> Some major_words
+            | _ -> None)
+          (Obs.Sink.drain ())
+      in
+      Alcotest.(check int) "one Gc_delta per span" 4 (List.length major);
+      List.iteri
+        (fun k w ->
+          if w < 14_000.0 then Alcotest.failf "span %d reports %.0f major words, under 14000" k w)
+        major)
+
 let suite =
   [
     Alcotest.test_case "resource counts minor words" `Quick test_resource_counts_minor_words;
@@ -771,6 +794,7 @@ let suite =
       test_obs_compare_flags_regression;
     Alcotest.test_case "obs compare refuses mismatched header" `Quick
       test_obs_compare_refuses_mismatched_header;
+    Alcotest.test_case "resource counts major words" `Quick test_resource_counts_major_words;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
