@@ -6,10 +6,11 @@
    Delta_cost kernel answers the same proposals from the edges a move
    actually touches. This section checks and prints two claims:
 
-   - equivalence: on small instances of both objectives the kernel's
-     incremental costs match a from-scratch evaluation after every
-     proposal, commit and abort — any disagreement is a hard failure
-     (non-zero exit), which is what the CI smoke gate relies on;
+   - equivalence: on small instances of both objectives, and on a
+     64-node DAG over 77 instances with tied costs, the kernel's
+     incremental costs equal a from-scratch evaluation bit for bit after
+     every proposal, commit and abort — any disagreement is a hard
+     failure (non-zero exit), which is what the CI smoke gate relies on;
    - throughput: annealing with the delta kernel sustains >= 5x the
      moves/sec of per-move full evaluation on the paper's 64-node
      behavioral-simulation template (8x8 mesh, longest link). Enforced at
@@ -61,6 +62,8 @@ let best_of_3 f =
   let _, t2, _ = timed f in
   (v, Float.min t0 (Float.min t1 t2), w)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let throughput ~key name problem objective ~moves seed =
   Util.subsection name;
   let full, t_full, w_full =
@@ -69,7 +72,7 @@ let throughput ~key name problem objective ~moves seed =
   let delta, t_delta, w_delta =
     best_of_3 (fun () -> anneal_run problem objective ~moves ~use_delta:true seed)
   in
-  if Float.abs (full.Cloudia.Anneal.cost -. delta.Cloudia.Anneal.cost) > 1e-9 then
+  if not (same_bits full.Cloudia.Anneal.cost delta.Cloudia.Anneal.cost) then
     failwith
       (Printf.sprintf
          "fig-delta: delta kernel diverged from full evaluation (%s: %.9f vs %.9f)" name
@@ -153,10 +156,9 @@ let equivalence name objective problem seed ~steps =
       (match other with Some o -> shadow.(o) <- source | None -> ());
       let candidate = Cloudia.Delta_cost.propose_move kernel ~node ~target in
       let reference = eval shadow in
-      if Float.abs (candidate -. reference) > 1e-9 then
+      if not (same_bits candidate reference) then
         failwith
-          (Printf.sprintf
-             "fig-delta: %s proposal cost mismatch (delta %.12f vs full %.12f)" name
+          (Printf.sprintf "fig-delta: %s proposal cost mismatch (delta %h vs full %h)" name
              candidate reference);
       incr checked;
       if Prng.bool rng then Cloudia.Delta_cost.commit kernel
@@ -167,10 +169,9 @@ let equivalence name objective problem seed ~steps =
       end;
       let committed = Cloudia.Delta_cost.cost kernel in
       let reference = eval shadow in
-      if Float.abs (committed -. reference) > 1e-9 then
+      if not (same_bits committed reference) then
         failwith
-          (Printf.sprintf
-             "fig-delta: %s committed cost mismatch (delta %.12f vs full %.12f)" name
+          (Printf.sprintf "fig-delta: %s committed cost mismatch (delta %h vs full %h)" name
              committed reference)
     end
   done;
@@ -199,6 +200,18 @@ let run () =
         Cloudia.Cost.Longest_path problem (seed + 2)
         ~steps:(Util.trials ~floor:200 2000))
     [ 631; 632 ];
+  (* The serve-mix LPNDP shape, with costs rounded to 0.1 ms so that many
+     relaxations keep their value and the dirty walk stops early. *)
+  let dag = Graphs.Templates.random_dag (Prng.create 651) ~n:64 ~edge_prob:0.08 in
+  let env = Util.env_of ~seed:652 Util.ec2 ~count:77 in
+  let lat = (Util.problem_of ~seed:653 env dag).Cloudia.Types.lat in
+  let tied =
+    Lat_matrix.init 77 (fun j j' -> Float.round (Lat_matrix.get lat j j' *. 10.0) /. 10.0)
+  in
+  equivalence "longest-path 64-node DAG, tied costs" Cloudia.Cost.Longest_path
+    (Cloudia.Types.of_matrix ~graph:dag tied)
+    654
+    ~steps:(Util.trials ~floor:1000 10_000);
   (* Throughput at the paper's behavioral-simulation scale: 8x8 mesh of
      64 nodes, 20% over-allocation. *)
   let rows = 8 and cols = 8 in

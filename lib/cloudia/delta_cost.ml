@@ -13,17 +13,24 @@
    proposal allocates nothing on this path.
 
    Longest path keeps the DAG relaxation array dist.(v) = best path cost
-   ending at v. A move can only change dist at topological positions >=
-   the earliest moved node, so proposals re-relax that suffix into a
-   scratch buffer and commit copies it back. Reads during the suffix pass
-   pick scratch or dist by position, so nothing is copied on abort. Sync
-   runs the same relaxation from position 0 into dist. It keeps each
-   node's running maximum in its output cell, so it allocates nothing,
-   and it keeps Cost.eval's operands (start at 0.0, c > acc), so costs
-   stay bit-identical. *)
+   ending at v. A move changes the costs of the edges at the moved nodes,
+   so a proposal marks those nodes and their successors dirty, then walks
+   topological positions from the earliest moved node, relaxing only
+   dirty nodes into a scratch buffer. A node whose new value differs from
+   its committed one is recorded as changed and dirties its successors; a
+   node whose value is unchanged stops the propagation there. Reads pick
+   scratch for changed nodes and dist for the rest, so abort copies
+   nothing and commit copies the changed nodes only. A per-node stamp
+   (epoch: dirty, epoch + 1: changed) needs no clearing between
+   proposals. Sync runs the same relaxation body over every position into
+   dist. It keeps each node's running maximum in its output cell, so it
+   allocates nothing, and it keeps Cost.eval's operands (start at 0.0,
+   c > acc), so costs stay bit-identical. dist is never NaN or -0.0, so
+   float equality is bit equality and the cutoff is exact. *)
 
 let c_proposals = Obs.Counter.make "delta.proposals"
 let c_fallbacks = Obs.Counter.make "delta.fallback_evals"
+let c_relaxations = Obs.Counter.make "delta.path_relaxations"
 
 type link_state = {
   edge_src : int array;
@@ -46,7 +53,12 @@ type path_state = {
   order : int array; (* topological order of the communication DAG *)
   pos : int array; (* node -> its position in [order] *)
   dist : float array; (* committed relaxation *)
-  scratch : float array; (* proposal relaxation, valid from the prefix on *)
+  scratch : float array; (* proposal relaxation, valid where [stamp] = epoch + 1 *)
+  stamp : int array; (* node -> [epoch]: dirty; [epoch + 1]: changed; else clean *)
+  mutable epoch : int; (* even; advanced by 2 per pass *)
+  mutable hi : int; (* highest dirty position of the pending pass *)
+  changed : int array; (* nodes the pending proposal changed, on [0, n_changed) *)
+  mutable n_changed : int;
 }
 
 type repr =
@@ -66,10 +78,10 @@ type t = {
   mutable p_other : int; (* the swapped node, or -1 when the target was free *)
   mutable p_source : int;
   mutable p_target : int;
-  mutable p_prefix : int; (* Path only: first re-relaxed topological position *)
   p_cost : float array; (* singleton: proposed cost, stored unboxed *)
   mutable proposals : int;
   mutable fallbacks : int;
+  mutable relaxations : int; (* Path only: nodes re-relaxed by proposals *)
 }
 
 (* ---------- construction and (re)synchronization ---------- *)
@@ -86,52 +98,117 @@ type ranks = {
 }
 
 (* Distinct off-diagonal matrix values: every edge cost under every
-   injective plan is one of them, so rank lookup never misses. One
-   stable sort of the off-diagonal cell indices by [Float.compare] puts
-   each class of compare-equal cells (±0 together, every NaN payload
-   together) in one run, in row-major order, so the run's first cell is
-   the class's value: the first one met in a row-major scan. *)
-let ranks_of_matrix lat =
+   injective plan is one of them, so rank lookup never misses. The
+   off-diagonal cell indices are sorted by an order-preserving 64-bit key
+   (every NaN is 0, ±0 share +0's key, other values flip the sign bit if
+   positive and every bit if negative), so unsigned key order is
+   [Float.compare]'s order and equal keys are compare-equal cells. The
+   sort is a stable LSD radix sort over the key's 8 bytes, the key held
+   as two 32-bit halves in [keys.(2c)] (low) and [keys.(2c + 1)] (high);
+   a byte every key shares skips its pass. Stability keeps each class's
+   cells in row-major order, so the first cell of a run is the class's
+   value: the first one met in a row-major scan. *)
+let[@cloudia.hot] ranks_of_matrix lat =
   let m = Lat_matrix.dim lat and data = Lat_matrix.data lat in
-  let cells = Array.make (m * m) 0.0 in
-  let off = Array.make (max 0 (m * (m - 1))) 0 in
+  let len = max 0 (m * (m - 1)) in
+  let keys = Array.make (2 * m * m) 0 in
+  let off = Array.make len 0 and tmp = Array.make len 0 in
+  let hist = Array.make (8 * 256) 0 in
   let k = ref 0 in
   for j = 0 to m - 1 do
     for j' = 0 to m - 1 do
-      let c = (j * m) + j' in
-      cells.(c) <- Bigarray.Array2.unsafe_get data j j';
       if j <> j' then begin
+        let c = (j * m) + j' in
+        let x = Bigarray.Array2.unsafe_get data j j' in
+        let bits = Int64.bits_of_float x in
+        let key =
+          if x <> x then 0L
+          else if x = 0.0 then Int64.min_int
+          else if bits >= 0L then Int64.logxor bits Int64.min_int
+          else Int64.lognot bits
+        in
+        let lo = Int64.to_int key land 0xffff_ffff in
+        let hi = Int64.to_int (Int64.shift_right_logical key 32) in
+        keys.(2 * c) <- lo;
+        keys.((2 * c) + 1) <- hi;
+        for p = 0 to 3 do
+          let d = (p * 256) + ((lo lsr (8 * p)) land 0xff) in
+          hist.(d) <- hist.(d) + 1;
+          let d = ((p + 4) * 256) + ((hi lsr (8 * p)) land 0xff) in
+          hist.(d) <- hist.(d) + 1
+        done;
         off.(!k) <- c;
         incr k
       end
     done
   done;
-  Array.stable_sort (fun a b -> Float.compare cells.(a) cells.(b)) off;
+  let src = ref off and dst = ref tmp and sum = ref 0 in
+  for p = 0 to 7 do
+    let half = p lsr 2 and shift = 8 * (p land 3) and base = p * 256 in
+    if len > 0 && hist.(base + ((keys.((2 * off.(0)) + half) lsr shift) land 0xff)) < len
+    then begin
+      sum := 0;
+      for d = base to base + 255 do
+        let c = hist.(d) in
+        hist.(d) <- !sum;
+        sum := !sum + c
+      done;
+      let s = !src and t = !dst in
+      for q = 0 to len - 1 do
+        let c = s.(q) in
+        let d = base + ((keys.((2 * c) + half) lsr shift) land 0xff) in
+        t.(hist.(d)) <- c;
+        hist.(d) <- hist.(d) + 1
+      done;
+      src := t;
+      dst := s
+    end
+  done;
+  let sorted = !src in
   let rank_mat = Array.make (m * m) 0 in
   let top = ref (-1) in
-  for q = 0 to Array.length off - 1 do
-    if q = 0 || Float.compare cells.(off.(q - 1)) cells.(off.(q)) <> 0 then incr top;
-    rank_mat.(off.(q)) <- !top
+  for q = 0 to len - 1 do
+    let c = sorted.(q) and b = sorted.(max 0 (q - 1)) in
+    if q = 0 || keys.(2 * b) <> keys.(2 * c) || keys.((2 * b) + 1) <> keys.((2 * c) + 1)
+    then incr top;
+    rank_mat.(c) <- !top
   done;
   let values = Array.make (!top + 1) 0.0 in
-  for q = Array.length off - 1 downto 0 do
-    values.(rank_mat.(off.(q))) <- cells.(off.(q))
+  for q = len - 1 downto 0 do
+    let c = sorted.(q) in
+    values.(rank_mat.(c)) <- Bigarray.Array2.unsafe_get data (c / m) (c mod m)
   done;
   { r_values = values; r_m = m; r_rank_mat = rank_mat }
 
 let rank_values r = Array.copy r.r_values
 let rank_table r = Array.copy r.r_rank_mat
 
+(* Edges are numbered in out-row order, the order of [Digraph.edges];
+   [incident.(v)] lists [v]'s out- and in-edges as the numbering meets
+   them. *)
 let make_link ?ranks (problem : Types.problem) =
   let graph = problem.Types.graph in
-  let n = Graphs.Digraph.n graph in
-  let edges = Graphs.Digraph.edges graph in
-  let incident_lists = Array.make n [] in
-  Array.iteri
-    (fun e (i, i') ->
-      incident_lists.(i) <- e :: incident_lists.(i);
-      incident_lists.(i') <- e :: incident_lists.(i'))
-    edges;
+  let n = Graphs.Digraph.n graph and ne = Graphs.Digraph.edge_count graph in
+  let edge_src = Array.make ne 0 and edge_dst = Array.make ne 0 in
+  let incident =
+    Array.init n (fun v ->
+        Array.make (Graphs.Digraph.out_degree graph v + Graphs.Digraph.in_degree graph v) 0)
+  in
+  let fill = Array.make n 0 in
+  let e = ref 0 in
+  for u = 0 to n - 1 do
+    let out = Graphs.Digraph.out_neighbors graph u in
+    for q = 0 to Array.length out - 1 do
+      let v = out.(q) in
+      edge_src.(!e) <- u;
+      edge_dst.(!e) <- v;
+      incident.(u).(fill.(u)) <- !e;
+      fill.(u) <- fill.(u) + 1;
+      incident.(v).(fill.(v)) <- !e;
+      fill.(v) <- fill.(v) + 1;
+      incr e
+    done
+  done;
   let lat = problem.Types.lat in
   let m = Lat_matrix.dim lat in
   let r =
@@ -144,11 +221,10 @@ let make_link ?ranks (problem : Types.problem) =
         r
     | None -> ranks_of_matrix lat
   in
-  let ne = Array.length edges in
   {
-    edge_src = Array.map fst edges;
-    edge_dst = Array.map snd edges;
-    incident = Array.map (fun l -> Array.of_list l) incident_lists;
+    edge_src;
+    edge_dst;
+    incident;
     values = r.r_values;
     m;
     rank_mat = r.r_rank_mat;
@@ -180,27 +256,88 @@ let[@inline] link_top ls =
     ls.values.(ls.max_rank)
   end
 
-(* Relax topological positions [from..] into [into]. A predecessor at a
-   position >= [from] was relaxed into [into] by this pass; one before
-   [from] is read from the committed [ps.dist]. *)
-let[@cloudia.hot] relax_suffix (t : t) ps ~into ~from =
-  let graph = t.problem.Types.graph in
-  for k = from to Array.length ps.order - 1 do
-    let v = ps.order.(k) in
-    let preds = Graphs.Digraph.in_neighbors graph v in
-    let jv = t.plan.(v) in
-    into.(v) <- 0.0;
-    for q = 0 to Array.length preds - 1 do
-      let u = preds.(q) in
-      let du = if ps.pos.(u) >= from then into.(u) else ps.dist.(u) in
-      let c = du +. Bigarray.Array2.unsafe_get ps.lat t.plan.(u) jv in
-      if c > into.(v) then into.(v) <- c
-    done
+(* Relax node [v] into [into.(v)]. A predecessor the pending pass changed
+   is read from [ps.scratch], any other from the committed [ps.dist]. *)
+let[@cloudia.hot] [@inline] relax (t : t) ps ~into v =
+  let preds = Graphs.Digraph.in_neighbors t.problem.Types.graph v in
+  let jv = t.plan.(v) and changed = ps.epoch + 1 in
+  into.(v) <- 0.0;
+  for q = 0 to Array.length preds - 1 do
+    let u = preds.(q) in
+    let du = if ps.stamp.(u) = changed then ps.scratch.(u) else ps.dist.(u) in
+    let c = du +. Bigarray.Array2.unsafe_get ps.lat t.plan.(u) jv in
+    if c > into.(v) then into.(v) <- c
   done
 
+let[@cloudia.hot] [@inline] dirty_successors (t : t) ps v =
+  let succ = Graphs.Digraph.out_neighbors t.problem.Types.graph v in
+  for q = 0 to Array.length succ - 1 do
+    let w = succ.(q) in
+    ps.stamp.(w) <- ps.epoch;
+    if ps.pos.(w) > ps.hi then ps.hi <- ps.pos.(w)
+  done
+
+(* A new epoch leaves every stamp stale: nothing dirty, nothing changed. *)
 let sync_path (t : t) ps =
-  relax_suffix t ps ~into:ps.dist ~from:0;
+  ps.epoch <- ps.epoch + 2;
+  for k = 0 to Array.length ps.order - 1 do
+    relax t ps ~into:ps.dist ps.order.(k)
+  done;
   Array.fold_left Float.max 0.0 ps.dist
+
+(* The pending proposal moved [node] and, unless it is -1, [other]. Their
+   incoming and outgoing edge costs changed, so they and their successors
+   start dirty. The walk relaxes dirty nodes in topological order; [hi]
+   grows as changed nodes dirty their successors, and a node that keeps
+   its committed value dirties nothing. *)
+let[@cloudia.hot] propose_path (t : t) ps ~node ~other =
+  let dirty = ps.epoch + 2 in
+  ps.epoch <- dirty;
+  ps.n_changed <- 0;
+  ps.stamp.(node) <- dirty;
+  ps.hi <- ps.pos.(node);
+  dirty_successors t ps node;
+  let from =
+    if other = -1 then ps.pos.(node)
+    else begin
+      ps.stamp.(other) <- dirty;
+      if ps.pos.(other) > ps.hi then ps.hi <- ps.pos.(other);
+      dirty_successors t ps other;
+      min ps.pos.(node) ps.pos.(other)
+    end
+  in
+  let k = ref from in
+  while !k <= ps.hi do
+    let v = ps.order.(!k) in
+    if ps.stamp.(v) = dirty then begin
+      relax t ps ~into:ps.scratch v;
+      t.relaxations <- t.relaxations + 1;
+      if ps.scratch.(v) <> ps.dist.(v) then begin
+        ps.stamp.(v) <- dirty + 1;
+        ps.changed.(ps.n_changed) <- v;
+        ps.n_changed <- ps.n_changed + 1;
+        dirty_successors t ps v
+      end
+    end;
+    incr k
+  done;
+  (* Unless a node that held the committed maximum fell, the maximum is
+     the committed one or a changed node's new value. *)
+  let top = t.cost.(0) in
+  let fell = ref false in
+  t.p_cost.(0) <- top;
+  for i = 0 to ps.n_changed - 1 do
+    let v = ps.changed.(i) in
+    if ps.scratch.(v) > t.p_cost.(0) then t.p_cost.(0) <- ps.scratch.(v)
+    else if ps.dist.(v) = top && ps.scratch.(v) < top then fell := true
+  done;
+  if !fell then begin
+    t.p_cost.(0) <- 0.0;
+    for v = 0 to Array.length ps.dist - 1 do
+      let d = if ps.stamp.(v) = dirty + 1 then ps.scratch.(v) else ps.dist.(v) in
+      if d > t.p_cost.(0) then t.p_cost.(0) <- d
+    done
+  end
 
 let sync t =
   match t.repr with
@@ -227,10 +364,10 @@ let of_repr problem repr plan0 =
       p_other = -1;
       p_source = -1;
       p_target = -1;
-      p_prefix = 0;
       p_cost = [| 0.0 |];
       proposals = 0;
       fallbacks = 0;
+      relaxations = 0;
     }
   in
   sync t;
@@ -256,6 +393,11 @@ let create ?ranks objective problem plan0 =
                 pos;
                 dist = Array.make n 0.0;
                 scratch = Array.make n 0.0;
+                stamp = Array.make n (-1);
+                epoch = 0;
+                hi = 0;
+                changed = Array.make n 0;
+                n_changed = 0;
               })
   in
   of_repr problem repr plan0
@@ -279,6 +421,7 @@ let instance_of t node = t.plan.(node)
 let occupant t inst = match t.node_of.(inst) with -1 -> None | node -> Some node
 let proposals t = t.proposals
 let fallback_evals t = t.fallbacks
+let path_relaxations t = t.relaxations
 
 let full_cost t =
   if t.p_active then invalid_arg "Delta_cost.full_cost: a proposal is pending";
@@ -290,8 +433,10 @@ let full_cost t =
 let flush_counters t =
   Obs.Counter.add c_proposals t.proposals;
   Obs.Counter.add c_fallbacks t.fallbacks;
+  Obs.Counter.add c_relaxations t.relaxations;
   t.proposals <- 0;
-  t.fallbacks <- 0
+  t.fallbacks <- 0;
+  t.relaxations <- 0
 
 (* ---------- the propose / commit / abort protocol ---------- *)
 
@@ -332,7 +477,6 @@ let[@cloudia.hot] propose t ~node ~target =
   t.node_of.(source) <- other;
   if other <> -1 then t.plan.(other) <- source;
   t.proposals <- t.proposals + 1;
-  t.p_prefix <- 0;
   (match t.repr with
   | Opaque eval ->
       t.fallbacks <- t.fallbacks + 1;
@@ -342,19 +486,7 @@ let[@cloudia.hot] propose t ~node ~target =
       touch_incident t ls node;
       if other <> -1 then touch_incident t ls other;
       t.p_cost.(0) <- link_top ls
-  | Path ps ->
-      let prefix =
-        if other = -1 then ps.pos.(node) else min ps.pos.(node) ps.pos.(other)
-      in
-      if prefix = 0 then t.fallbacks <- t.fallbacks + 1;
-      relax_suffix t ps ~into:ps.scratch ~from:prefix;
-      let best = ref 0.0 in
-      for v = 0 to Array.length ps.order - 1 do
-        let d = if ps.pos.(v) >= prefix then ps.scratch.(v) else ps.dist.(v) in
-        if d > !best then best := d
-      done;
-      t.p_prefix <- prefix;
-      t.p_cost.(0) <- !best);
+  | Path ps -> propose_path t ps ~node ~other);
   t.p_active <- true;
   t.p_node <- node;
   t.p_other <- other;
@@ -385,8 +517,8 @@ let commit t =
   if not t.p_active then invalid_arg "Delta_cost.commit: no pending proposal";
   (match t.repr with
   | Path ps ->
-      for k = t.p_prefix to Array.length ps.order - 1 do
-        let v = ps.order.(k) in
+      for i = 0 to ps.n_changed - 1 do
+        let v = ps.changed.(i) in
         ps.dist.(v) <- ps.scratch.(v)
       done
   | Link ls -> ls.u_len <- 0

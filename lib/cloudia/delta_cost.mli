@@ -13,12 +13,15 @@
       values of the matrix (rank counts plus a lazily decremented top
       pointer) re-answers the maximum without a scan. Edges are tracked
       by rank alone: equal ranks mean compare-equal costs;
-    - {b longest path}: the DAG relaxation is re-run only over the
-      topological suffix starting at the earliest moved node
-      (affected-prefix re-relaxation); when a moved node sits at
-      topological position 0 this degenerates to a full recompute, which
-      is counted as a fallback. The re-relaxation is allocation-free;
-      sync and propose share one relaxation loop;
+    - {b longest path}: a proposal marks the moved nodes and their
+      successors dirty and walks the topological order from the earliest
+      moved node, re-relaxing only dirty nodes. A node whose value
+      changes dirties its successors; one whose value is unchanged stops
+      the propagation. The new maximum is the committed one or a changed
+      node's value, and all nodes are rescanned only when a node that
+      held the committed maximum fell. {!commit} copies the changed nodes
+      only. The pass is allocation-free; sync and propose share one
+      relaxation body;
     - {b opaque evaluators} (weighted, bandwidth, …): proposals fall back
       to the supplied full evaluation, so one solver loop serves every
       objective and the counters make the fallback rate visible.
@@ -30,9 +33,10 @@
     over the same operand sets, which float arithmetic evaluates
     order-independently — and the property tests assert exactly that.
 
-    Telemetry: kernels count proposals and full-evaluation fallbacks
-    locally and publish them to the [delta.proposals] and
-    [delta.fallback_evals] {!Obs.Counter}s on {!flush_counters} (hot
+    Telemetry: kernels count proposals, opaque full evaluations and
+    longest-path node relaxations locally and publish them to the
+    [delta.proposals], [delta.fallback_evals] and
+    [delta.path_relaxations] {!Obs.Counter}s on {!flush_counters} (hot
     loops flush once per solve, per the [Obs] convention). *)
 
 type t
@@ -42,15 +46,17 @@ type t
 type ranks
 (** The plan-independent half of a longest-link kernel: the distinct
     off-diagonal cost values and the per-ordered-pair rank table.
-    O(m² log m) to build, immutable afterwards — compute it once per cost matrix
+    O(m²) to build, immutable afterwards — compute it once per cost matrix
     (keyed by {!Lat_matrix.fingerprint}) and pass it to every {!create}
     over the same matrix to skip the rebuild. *)
 
 val ranks_of_matrix : Lat_matrix.t -> ranks
-(** Build the rank table for a cost matrix: one stable sort of the
-    off-diagonal cell indices by [Float.compare] over a flat copy of the
-    cells, O(m² log m), allocating only the copy, the index array, the
-    sort's buffer and the two tables. *)
+(** Build the rank table for a cost matrix: a stable LSD radix sort of
+    the off-diagonal cell indices by an order-preserving 64-bit key of
+    each cell (all NaNs one key, ±0 one key, otherwise [Float.compare]'s
+    order), one pass per key byte, skipping a byte all keys share. O(m²),
+    allocating only the keys (two words per cell), the index array and
+    its sort buffer, a 2048-slot histogram and the two tables. *)
 
 val rank_values : ranks -> float array
 (** A copy of the distinct off-diagonal values, ascending by
@@ -105,7 +111,8 @@ val propose_move : t -> node:int -> target:int -> float
     relocating if it is free — and returns the cost of the resulting
     plan. The move is not applied to the committed state until {!commit};
     {!abort} restores everything. O(deg(node) + deg(occupant)) for
-    longest link; O(suffix) for longest path; O(full eval) for opaque
+    longest link; O(dirty nodes and their in-edges) for longest path,
+    plus O(|V|) when a node holding the maximum fell; O(full eval) for opaque
     kernels. Raises [Invalid_argument] if a proposal is already pending,
     an index is out of range, or [node] already occupies [target]. *)
 
@@ -157,10 +164,13 @@ val proposals : t -> int
 
 val fallback_evals : t -> int
 (** Full evaluations paid since creation or the last {!flush_counters}:
-    every opaque proposal, plus every longest-path proposal whose
-    affected prefix started at topological position 0. *)
+    one per opaque proposal. *)
+
+val path_relaxations : t -> int
+(** Nodes re-relaxed by longest-path proposals since creation or the last
+    {!flush_counters} (0 for other kernels). *)
 
 val flush_counters : t -> unit
-(** Publish the locally accumulated proposal/fallback counts to the
-    [delta.proposals] and [delta.fallback_evals] {!Obs.Counter}s and zero
-    the local accumulators. Call once per solve. *)
+(** Publish the locally accumulated counts to the [delta.proposals],
+    [delta.fallback_evals] and [delta.path_relaxations] {!Obs.Counter}s
+    and zero the local accumulators. Call once per solve. *)

@@ -105,9 +105,9 @@ let check_bits name expected actual =
     Alcotest.failf "%s: expected %h got %h" name expected actual
 
 (* Swaps, relocations to free instances and moves of the topological
-   source (prefix 0: the whole DAG is re-relaxed), some committed and
-   some aborted. Every candidate and every committed cost must equal
-   Cost.eval bit for bit. *)
+   source (the move whose dirty walk starts at position 0), some
+   committed and some aborted. Every candidate and every committed cost
+   must equal Cost.eval bit for bit. *)
 let test_path_equivalence_serve_mix_shape () =
   let problem = serve_mix_dag 5 in
   let rng = Prng.create 505 in
@@ -121,13 +121,15 @@ let test_path_equivalence_serve_mix_shape () =
   let kernel = Delta_cost.create Cost.Longest_path problem shadow in
   let eval = Cost.eval Cost.Longest_path problem in
   check_bits "initial cost" (eval shadow) (Delta_cost.cost kernel);
-  let swaps = ref 0 and relocations = ref 0 and commits = ref 0 and aborts = ref 0 in
+  let swaps = ref 0 and relocations = ref 0 and source_moves = ref 0 in
+  let commits = ref 0 and aborts = ref 0 in
   for step = 1 to 3000 do
     let node = if step mod 8 = 0 then source else Prng.int rng n in
     let target = if Prng.bool rng then shadow.(Prng.int rng n) else Prng.int rng m in
     if target <> shadow.(node) then begin
       let from = shadow.(node) in
       let other = Delta_cost.occupant kernel target in
+      if node = source then incr source_moves;
       shadow.(node) <- target;
       (match other with
       | Some o ->
@@ -155,10 +157,44 @@ let test_path_equivalence_serve_mix_shape () =
     [
       ("swaps", !swaps);
       ("relocations", !relocations);
-      ("prefix-0 fallbacks", Delta_cost.fallback_evals kernel);
+      ("source-node moves", !source_moves);
       ("commits", !commits);
       ("aborts", !aborts);
     ]
+
+(* The dirty walk's work at serve-mix shape: the kernel re-relaxes at
+   most half the nodes that re-relaxing the whole suffix from the
+   earliest moved node would, counted here from topological positions. *)
+let test_path_relaxations_serve_mix_shape () =
+  let problem = serve_mix_dag 11 in
+  let rng = Prng.create 1111 in
+  let n = Types.node_count problem and m = Types.instance_count problem in
+  let pos = Array.make n 0 in
+  (match Graphs.Digraph.topological_order problem.Types.graph with
+  | Some order -> Array.iteri (fun k v -> pos.(v) <- k) order
+  | None -> Alcotest.fail "random_dag is acyclic");
+  let kernel = Delta_cost.create Cost.Longest_path problem (Types.random_plan rng problem) in
+  let suffix = ref 0 and proposals = ref 0 in
+  for _ = 1 to 4000 do
+    let node = Prng.int rng n and target = Prng.int rng m in
+    if target <> Delta_cost.instance_of kernel node then begin
+      let first =
+        match Delta_cost.occupant kernel target with
+        | Some o -> min pos.(node) pos.(o)
+        | None -> pos.(node)
+      in
+      suffix := !suffix + (n - first);
+      incr proposals;
+      Delta_cost.propose kernel ~node ~target;
+      if Prng.bool rng then Delta_cost.commit kernel else Delta_cost.abort kernel
+    end
+  done;
+  let relaxed = Delta_cost.path_relaxations kernel in
+  if 2 * relaxed > !suffix then
+    Alcotest.failf "%d proposals relaxed %d nodes; the whole suffixes hold %d" !proposals
+      relaxed !suffix;
+  Delta_cost.flush_counters kernel;
+  Alcotest.(check int) "flushed" 0 (Delta_cost.path_relaxations kernel)
 
 (* A warm propose -> commit/abort cycle allocates nothing, on the
    serve-mix LPNDP shape and on an 8x8 mesh over 77 instances (LLNDP):
@@ -459,15 +495,35 @@ let nan_payloads =
   Array.map Int64.float_of_bits
     [| 0x7ff8000000000000L; 0x7ff0000000000001L; 0xfff8000000000000L; 0x7ff8dead0000beefL |]
 
-(* A cell drawn from a mix of repeats, ±0, NaN payloads, infinities and
-   fresh values. *)
+(* Pairs of values whose bits differ only in the lowest byte, or only in
+   the highest: the radix sort must order them by the one pass that
+   separates them, and skip the passes where every key agrees. *)
+let byte_pairs =
+  Array.map Int64.float_of_bits
+    [|
+      0x3ff0000000000000L;
+      0x3ff00000000000ffL;
+      0x3ff0000000000001L;
+      0x40f0000000000000L;
+      0xbff0000000000000L;
+      0xbff0000000000001L;
+      0xc0f0000000000000L;
+    |]
+
+(* A cell drawn from a mix of repeats, ±0, NaN payloads, infinities,
+   negative values, subnormals, byte pairs and fresh values. *)
 let awkward_cell rng =
-  match Prng.int rng 8 with
+  match Prng.int rng 12 with
   | 0 -> 0.0
   | 1 -> -0.0
   | 2 -> nan_payloads.(Prng.int rng (Array.length nan_payloads))
   | 3 -> if Prng.bool rng then Float.infinity else Float.neg_infinity
   | 4 | 5 -> float_of_int (Prng.int rng 4) *. 0.5
+  | 6 -> -.Prng.float rng 2.0
+  | 7 ->
+      let sub = Int64.float_of_bits (Int64.of_int (1 + Prng.int rng 1000)) in
+      if Prng.bool rng then sub else -.sub
+  | 8 | 9 -> byte_pairs.(Prng.int rng (Array.length byte_pairs))
   | _ -> Prng.float rng 2.0
 
 let test_ranks_match_hashtbl () =
@@ -581,9 +637,11 @@ let ec2_matrix seed =
 
 (* A warm anneal at serve-mix shape allocates its kernel, its plans and
    the few words of each temperature step and each improvement, but
-   nothing per move: 14.1 k words for the LLNDP solve and 3.2 k for the
+   nothing per move: 11.1 k words for the LLNDP solve and 3.3 k for the
    LPNDP one. Before the rank-only kernel and the in-place proposal
-   cost they took 96.3 k and 12.9 k. *)
+   cost they took 96.3 k and 12.9 k, and the LLNDP solve took 14.1 k
+   while its kernel built its edge arrays from [Digraph.edges]' tuples
+   and consed incident lists. *)
 let test_anneal_allocation_ceilings () =
   let lat = ec2_matrix 1 in
   let ranks = Delta_cost.ranks_of_matrix lat in
@@ -605,10 +663,55 @@ let test_anneal_allocation_ceilings () =
         Alcotest.failf "%s anneal of %d moves: %.0f words, over the %.0f gate"
           (Cost.objective_to_string objective) moves words gate)
     [
-      (Cost.Longest_link, mesh, 20_000, 16_000.0); (Cost.Longest_path, dag, 4_000, 8_000.0);
+      (Cost.Longest_link, mesh, 20_000, 13_000.0); (Cost.Longest_path, dag, 4_000, 8_000.0);
     ]
 
 (* ---------- qcheck properties ---------- *)
+
+(* A random DAG whose costs come from a few rounded values, zero among
+   them, so many relaxations tie and propagation often stops early, over
+   enough instances that half the moves are relocations to a free one.
+   Every candidate and every committed cost must equal Cost.eval bit for
+   bit. *)
+let drive_tied_path seed =
+  let rng = Prng.create seed in
+  let n = 5 + Prng.int rng 36 in
+  let graph = Graphs.Templates.random_dag rng ~n ~edge_prob:(0.05 +. Prng.float rng 0.3) in
+  let m = n + 1 + Prng.int rng 8 in
+  let pool = [| 0.0; 0.0; 0.5; 1.0; 1.0; 1.5; 2.0 |] in
+  let costs =
+    Array.init m (fun j ->
+        Array.init m (fun j' -> if j = j' then 0.0 else pool.(Prng.int rng (Array.length pool))))
+  in
+  let problem = Types.problem ~graph ~costs in
+  let shadow = Types.random_plan rng problem in
+  let kernel = Delta_cost.create Cost.Longest_path problem shadow in
+  let eval = Cost.eval Cost.Longest_path problem in
+  check_bits "initial cost" (eval shadow) (Delta_cost.cost kernel);
+  for _ = 1 to 200 do
+    let node = Prng.int rng n in
+    let target =
+      if Prng.bool rng then shadow.(Prng.int rng n)
+      else
+        let free = Types.unused_instances problem shadow in
+        List.nth free (Prng.int rng (List.length free))
+    in
+    if target <> shadow.(node) then begin
+      let from = shadow.(node) in
+      let other = Delta_cost.occupant kernel target in
+      shadow.(node) <- target;
+      Option.iter (fun o -> shadow.(o) <- from) other;
+      check_bits "candidate" (eval shadow) (Delta_cost.propose_move kernel ~node ~target);
+      if Prng.bool rng then Delta_cost.commit kernel
+      else begin
+        Delta_cost.abort kernel;
+        shadow.(node) <- from;
+        Option.iter (fun o -> shadow.(o) <- target) other
+      end;
+      check_bits "committed cost" (eval shadow) (Delta_cost.cost kernel)
+    end
+  done;
+  true
 
 let qcheck_props =
   [
@@ -624,6 +727,9 @@ let qcheck_props =
         let p = dag_problem (seed + 1) in
         ignore (drive Cost.Longest_path p (seed + 400) ~steps:120 : int);
         true);
+    QCheck.Test.make ~name:"path kernel cutoff is exact on tied costs" ~count:60
+      QCheck.(small_int)
+      (fun seed -> drive_tied_path (seed + 1));
   ]
 
 let suite =
@@ -632,6 +738,8 @@ let suite =
     Alcotest.test_case "path kernel equals full eval" `Quick test_path_equivalence;
     Alcotest.test_case "path kernel equals full eval at serve-mix shape" `Quick
       test_path_equivalence_serve_mix_shape;
+    Alcotest.test_case "path kernel relaxes under half the suffix" `Quick
+      test_path_relaxations_serve_mix_shape;
     Alcotest.test_case "path kernel allocation ceiling" `Quick
       test_path_kernel_allocation_ceiling;
     Alcotest.test_case "opaque fallback equivalence" `Quick test_opaque_equivalence;
