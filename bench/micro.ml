@@ -59,11 +59,22 @@ let greedy_test =
   Test.make ~name:"greedy-g2-16-nodes"
     (Staged.stage (fun () -> ignore (Cloudia.Greedy.g2 problem)))
 
+(* The 500 samples as [Kmeans1d.cluster] takes them (distinct values
+   ascending, a count for each), built outside the timed closure. *)
 let kmeans_test =
   let rng = Prng.create 4 in
-  let values = Array.init 500 (fun _ -> Prng.float rng 1.0) in
+  let sorted = Array.init 500 (fun _ -> Prng.float rng 1.0) in
+  Array.sort Float.compare sorted;
+  let runs =
+    Array.fold_left
+      (fun runs x ->
+        match runs with (v, c) :: rest when x = v -> (v, c + 1) :: rest | _ -> (x, 1) :: runs)
+      [] sorted
+    |> List.rev |> Array.of_list
+  in
+  let values = Array.map fst runs and counts = Array.map snd runs in
   Test.make ~name:"kmeans1d-500-values-k20"
-    (Staged.stage (fun () -> ignore (Stats.Kmeans1d.cluster ~k:20 values)))
+    (Staged.stage (fun () -> ignore (Stats.Kmeans1d.cluster ~k:20 values counts)))
 
 (* Matrix-representation kernels: a full row-major sweep of a 64x64
    latency matrix, read either through boxed float array array rows or the

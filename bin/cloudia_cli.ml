@@ -1004,7 +1004,8 @@ let serve_cmd =
   in
   let cache_arg =
     Arg.(value & opt int 32 & info [ "cache-capacity" ]
-           ~doc:"Entries per fingerprint-keyed LRU (clusterings, ranks, incumbents, results).")
+           ~doc:"Entries per fingerprint-keyed LRU (matrices, incumbents, results), and \
+                 clusterings per matrix.")
   in
   let deadline_arg =
     Arg.(value & opt float 30.0 & info [ "default-deadline" ]

@@ -74,9 +74,9 @@ val solve_objective :
   ?options:options ->
   ?stop:(unit -> bool) ->
   ?init:Types.plan ->
-  ?ranks:Delta_cost.ranks ->
+  ?ranks:Lat_matrix.Ranks.t ->
   ?on_improve:(Types.plan -> float -> unit) ->
   Prng.t -> Cost.objective -> Types.problem -> result
 (** Convenience wrapper for the two standard objectives. [ranks] shares a
-    precomputed {!Delta_cost.ranks} table (fingerprint-keyed cache hit)
+    precomputed {!Lat_matrix.Ranks} table (fingerprint-keyed cache hit)
     with the kernel; see {!Delta_cost.create}. *)

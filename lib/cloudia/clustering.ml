@@ -5,55 +5,47 @@ type t = {
 
 let copy lat = Lat_matrix.init (Lat_matrix.dim lat) (fun j j' -> Lat_matrix.unsafe_get lat j j')
 
-(* Non-finite off-diagonals are legal (NaN marks unsampled pairs): they
-   must neither reach Kmeans1d (whose guard raises) nor the level set
-   (where NaN defeats dedup and poisons thresholds_below). *)
-let finite_off_diagonal lat =
-  let values = Lat_matrix.off_diagonal lat in
-  let n = ref 0 in
-  Array.iter (fun v -> if Float.is_finite v then incr n) values;
-  if !n = Array.length values then values
-  else begin
-    let out = Array.make !n 0.0 in
-    let k = ref 0 in
-    Array.iter
-      (fun v ->
-        if Float.is_finite v then begin
-          out.(!k) <- v;
-          incr k
-        end)
-      values;
-    out
-  end
+(* The rank table sorts NaN lowest, then -inf, and +inf highest, so the
+   finite values are the ranks [lo, hi]. Non-finite cells (NaN marks an
+   unsampled pair) stay out of k-means, whose guard raises, and out of
+   the levels. *)
+let finite_ranks values =
+  let lo = ref 0 and hi = ref (Array.length values - 1) in
+  while !lo <= !hi && not (Float.is_finite values.(!lo)) do incr lo done;
+  while !hi >= !lo && not (Float.is_finite values.(!hi)) do decr hi done;
+  (!lo, !hi)
 
-let cluster ~k lat =
+(* Each rank's level is computed once, from the rank's value: the cells
+   of a class are compare-equal, and ±0 (the one class whose cells differ
+   in bits) are equally far from every center. *)
+let cluster ?ranks ~k lat =
   if k <= 0 then invalid_arg "Clustering.cluster: k must be positive";
-  let values = finite_off_diagonal lat in
-  if Array.length values = 0 then { rounded = copy lat; levels = [||] }
+  let r = Lat_matrix.Ranks.reuse ranks lat in
+  let values = Lat_matrix.Ranks.values r and table = Lat_matrix.Ranks.table r in
+  let lo, hi = finite_ranks values in
+  if lo > hi then { rounded = copy lat; levels = [||] }
   else begin
-    let result = Stats.Kmeans1d.cluster ~k values in
+    let m = Lat_matrix.dim lat in
+    let counts = Array.make (hi - lo + 1) 0 in
+    for j = 0 to m - 1 do
+      for j' = 0 to m - 1 do
+        let q = table.((j * m) + j') in
+        if j <> j' && lo <= q && q <= hi then counts.(q - lo) <- counts.(q - lo) + 1
+      done
+    done;
+    let result = Stats.Kmeans1d.cluster ~k (Array.sub values lo (hi - lo + 1)) counts in
+    let level = Array.init (hi - lo + 1) (fun q -> Stats.Kmeans1d.assign result values.(lo + q)) in
     let rounded =
-      Lat_matrix.init (Lat_matrix.dim lat) (fun j j' ->
+      Lat_matrix.init m (fun j j' ->
+          let q = table.((j * m) + j') in
           if j = j' then 0.0
-          else
-            let v = Lat_matrix.unsafe_get lat j j' in
-            if Float.is_finite v then Stats.Kmeans1d.assign result v else v)
+          else if lo <= q && q <= hi then level.(q - lo)
+          else Lat_matrix.unsafe_get lat j j')
     in
-    { rounded; levels = Array.copy result.Stats.Kmeans1d.centers }
+    { rounded; levels = result.Stats.Kmeans1d.centers }
   end
 
-let none lat =
-  let values = finite_off_diagonal lat in
-  let distinct =
-    let sorted = Array.copy values in
-    Array.sort Float.compare sorted;
-    let out = ref [] in
-    Array.iter
-      (fun v -> match !out with x :: _ when Float.equal x v -> () | _ -> out := v :: !out)
-      sorted;
-    Array.of_list (List.rev !out)
-  in
-  { rounded = copy lat; levels = distinct }
-
-let thresholds_below t cost =
-  Array.fold_left (fun acc level -> if level < cost then level :: acc else acc) [] t.levels
+let none ?ranks lat =
+  let values = Lat_matrix.Ranks.values (Lat_matrix.Ranks.reuse ranks lat) in
+  let lo, hi = finite_ranks values in
+  { rounded = copy lat; levels = Array.sub values lo (hi - lo + 1) }

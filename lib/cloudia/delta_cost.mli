@@ -43,39 +43,18 @@ type t
 (** A mutable kernel: the current plan, its cost, and the per-objective
     incremental state. Not thread-safe; give each domain its own. *)
 
-type ranks
-(** The plan-independent half of a longest-link kernel: the distinct
-    off-diagonal cost values and the per-ordered-pair rank table.
-    O(m²) to build, immutable afterwards — compute it once per cost matrix
-    (keyed by {!Lat_matrix.fingerprint}) and pass it to every {!create}
-    over the same matrix to skip the rebuild. *)
+val ranks_of_matrix : Lat_matrix.t -> Lat_matrix.Ranks.t
+(** {!Lat_matrix.Ranks.of_matrix}, under the name the repository
+    benchmark times it by. *)
 
-val ranks_of_matrix : Lat_matrix.t -> ranks
-(** Build the rank table for a cost matrix: a stable LSD radix sort of
-    the off-diagonal cell indices by an order-preserving 64-bit key of
-    each cell (all NaNs one key, ±0 one key, otherwise [Float.compare]'s
-    order), one pass per key byte, skipping a byte all keys share. O(m²),
-    allocating only the keys (two words per cell), the index array and
-    its sort buffer, a 2048-slot histogram and the two tables. *)
-
-val rank_values : ranks -> float array
-(** A copy of the distinct off-diagonal values, ascending by
-    [Float.compare]. Each stands for a class of compare-equal cells (±0
-    are one class, and so are all NaNs) and is the class's first cell
-    in row-major order. *)
-
-val rank_table : ranks -> int array
-(** A copy of the flat rank table: entry [j * m + j'] is the index in
-    {!rank_values} of cell [(j, j')]'s class, and 0 on the diagonal. *)
-
-val create : ?ranks:ranks -> Cost.objective -> Types.problem -> Types.plan -> t
+val create : ?ranks:Lat_matrix.Ranks.t -> Cost.objective -> Types.problem -> Types.plan -> t
 (** [create objective problem plan] validates [plan] (a partial injection
     of nodes into instances) and builds the kernel in O(|V| + |E| + R)
     where R is the number of distinct cost values. Raises
     [Invalid_argument] on an invalid plan, or for [Longest_path] on a
     cyclic communication graph. The plan is copied.
 
-    [ranks] must have been built (by {!ranks_of_matrix}) from
+    [ranks] must have been built (by {!Lat_matrix.Ranks.of_matrix}) from
     [problem]'s cost matrix; it is trusted beyond a dimension check
     (raising [Invalid_argument] on mismatch) — key your cache by content
     fingerprint. Only [Longest_link] kernels use it; it is ignored for

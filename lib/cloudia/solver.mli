@@ -128,7 +128,7 @@ val run :
   ?peek:(unit -> Types.plan option) ->
   ?init:Types.plan ->
   ?clustering:(unit -> Clustering.t) ->
-  ?ranks:(unit -> Delta_cost.ranks) ->
+  ?ranks:(unit -> Lat_matrix.Ranks.t) ->
   ?time_limit:float ->
   t ->
   Prng.t ->

@@ -138,6 +138,107 @@ let fingerprint t =
 
 let fingerprint_hex t = Printf.sprintf "%016Lx" (fingerprint t)
 
+(* ---------- rank table ---------- *)
+
+module Ranks = struct
+  (* [values]: rank -> distinct off-diagonal value, ascending; [m]: the
+     matrix's dimension; [table]: flat [j * m + j'] -> that cell's rank. *)
+  type nonrec t = { values : float array; m : int; table : int array }
+
+  (* The off-diagonal cell indices are sorted by an order-preserving
+     64-bit key (every NaN is 0, ±0 share +0's key, other values flip the
+     sign bit if positive and every bit if negative), so unsigned key
+     order is [Float.compare]'s order and equal keys are compare-equal
+     cells. The sort is a stable LSD radix sort over the key's 8 bytes,
+     the key held as two 32-bit halves in [keys.(2c)] (low) and
+     [keys.(2c + 1)] (high); a byte every key shares skips its pass.
+     Stability keeps each class's cells in row-major order, so the first
+     cell of a run is the class's value: the first one met in a
+     row-major scan. *)
+  let[@cloudia.hot] of_matrix { data; _ } =
+    let m = Bigarray.Array2.dim1 data in
+    let len = max 0 (m * (m - 1)) in
+    let keys = Array.make (2 * m * m) 0 in
+    let off = Array.make len 0 and tmp = Array.make len 0 in
+    let hist = Array.make (8 * 256) 0 in
+    let k = ref 0 in
+    for j = 0 to m - 1 do
+      for j' = 0 to m - 1 do
+        if j <> j' then begin
+          let c = (j * m) + j' in
+          let x = Bigarray.Array2.unsafe_get data j j' in
+          let bits = Int64.bits_of_float x in
+          let key =
+            if x <> x then 0L
+            else if x = 0.0 then Int64.min_int
+            else if bits >= 0L then Int64.logxor bits Int64.min_int
+            else Int64.lognot bits
+          in
+          let lo = Int64.to_int key land 0xffff_ffff in
+          let hi = Int64.to_int (Int64.shift_right_logical key 32) in
+          keys.(2 * c) <- lo;
+          keys.((2 * c) + 1) <- hi;
+          for p = 0 to 3 do
+            let d = (p * 256) + ((lo lsr (8 * p)) land 0xff) in
+            hist.(d) <- hist.(d) + 1;
+            let d = ((p + 4) * 256) + ((hi lsr (8 * p)) land 0xff) in
+            hist.(d) <- hist.(d) + 1
+          done;
+          off.(!k) <- c;
+          incr k
+        end
+      done
+    done;
+    let src = ref off and dst = ref tmp and sum = ref 0 in
+    for p = 0 to 7 do
+      let half = p lsr 2 and shift = 8 * (p land 3) and base = p * 256 in
+      if len > 0 && hist.(base + ((keys.((2 * off.(0)) + half) lsr shift) land 0xff)) < len
+      then begin
+        sum := 0;
+        for d = base to base + 255 do
+          let c = hist.(d) in
+          hist.(d) <- !sum;
+          sum := !sum + c
+        done;
+        let s = !src and t = !dst in
+        for q = 0 to len - 1 do
+          let c = s.(q) in
+          let d = base + ((keys.((2 * c) + half) lsr shift) land 0xff) in
+          t.(hist.(d)) <- c;
+          hist.(d) <- hist.(d) + 1
+        done;
+        src := t;
+        dst := s
+      end
+    done;
+    let sorted = !src in
+    let table = Array.make (m * m) 0 in
+    let top = ref (-1) in
+    for q = 0 to len - 1 do
+      let c = sorted.(q) and b = sorted.(max 0 (q - 1)) in
+      if q = 0 || keys.(2 * b) <> keys.(2 * c) || keys.((2 * b) + 1) <> keys.((2 * c) + 1)
+      then incr top;
+      table.(c) <- !top
+    done;
+    let values = Array.make (!top + 1) 0.0 in
+    for q = len - 1 downto 0 do
+      let c = sorted.(q) in
+      values.(table.(c)) <- Bigarray.Array2.unsafe_get data (c / m) (c mod m)
+    done;
+    { values; m; table }
+
+  let reuse r lat =
+    match r with
+    | None -> of_matrix lat
+    | Some r when r.m = dim lat -> r
+    | Some r ->
+        invalid_arg
+          (Printf.sprintf "Lat_matrix.Ranks: table for %d instances, matrix has %d" r.m (dim lat))
+
+  let values r = r.values
+  let table r = r.table
+end
+
 (* ---------- binary I/O ---------- *)
 
 let magic = "CLDALAT1"

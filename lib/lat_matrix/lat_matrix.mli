@@ -111,8 +111,8 @@ val iter : (int -> int -> float -> unit) -> t -> unit
 (** Row-major iteration over every entry. *)
 
 val off_diagonal : t -> float array
-(** The [n·(n-1)] off-diagonal entries in row-major order — the
-    clustering input, read straight off the flat buffer. *)
+(** The [n·(n-1)] off-diagonal entries in row-major order, read straight
+    off the flat buffer. *)
 
 val equal : t -> t -> bool
 (** Bitwise value equality (NaN equals NaN of the same payload); the
@@ -131,6 +131,48 @@ val fingerprint : t -> int64
 
 val fingerprint_hex : t -> string
 (** {!fingerprint} as 16 lowercase hex digits — the wire/key form. *)
+
+(** {2 Rank table} *)
+
+(** The off-diagonal cells of one matrix, sorted once: the distinct
+    values ascending and each cell's rank among them. Every sorted view
+    of a matrix derives from this table: the longest-link delta kernel's
+    ranks, the k-means input and its rounded matrix, and the exact CP
+    levels. O(m²) to build, immutable afterwards, so a serving cache can
+    build it once per {!fingerprint} and share it across every job and
+    domain that sees the same matrix. *)
+module Ranks : sig
+  type matrix := t
+
+  type t
+
+  val of_matrix : matrix -> t
+  (** Build the table: a stable LSD radix sort of the off-diagonal cell
+      indices by an order-preserving 64-bit key of each cell (all NaNs
+      one key, ±0 one key, otherwise [Float.compare]'s order), one pass
+      per key byte, skipping a byte all keys share. O(m²), allocating
+      only the keys (two words per cell), the index array and its sort
+      buffer, a 2048-slot histogram and the two tables. *)
+
+  val reuse : t option -> matrix -> t
+  (** [reuse (Some r) lat] is [r], a table built from [lat] (say, a
+      fingerprint-keyed cache hit): it is trusted beyond a dimension
+      check, which raises [Invalid_argument] on mismatch. [reuse None lat]
+      builds [lat]'s table. *)
+
+  val values : t -> float array
+  (** The distinct off-diagonal values, ascending by [Float.compare]:
+      NaN first, then -inf, the finite values, and +inf last, so the
+      finite values are one contiguous range of ranks. Each stands for
+      a class of compare-equal cells (±0 are one class, and so are all
+      NaNs) and is the class's first cell in row-major order. Borrowed:
+      never write it. *)
+
+  val table : t -> int array
+  (** The flat rank table: entry [j * m + j'] is the index in {!values}
+      of cell [(j, j')]'s class, and 0 on the diagonal. Borrowed: never
+      write it. *)
+end
 
 (** {2 Binary I/O} *)
 

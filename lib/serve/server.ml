@@ -144,17 +144,8 @@ let execute t (job : Protocol.job) ~deadline_at =
       let stop () = Atomic.get t.stopping || Obs.Clock.now_s () > deadline_at in
       let budget = Float.min job.budget (deadline_at -. Obs.Clock.now_s ()) in
       let init = Option.map (fun i -> i.Cache.plan) (Cache.incumbent t.cache ~key:inc_key) in
-      let clustering () =
-        let k = effective_clusters job in
-        let ckey = fp ^ "#" ^ match k with Some k -> string_of_int k | None -> "exact" in
-        Cache.clustering t.cache ~key:ckey (fun () ->
-            match k with
-            | Some k -> Cloudia.Clustering.cluster ~k job.costs
-            | None -> Cloudia.Clustering.none job.costs)
-      in
-      let ranks () =
-        Cache.ranks t.cache ~key:fp (fun () -> Cloudia.Delta_cost.ranks_of_matrix job.costs)
-      in
+      let clustering () = Cache.clustering t.cache ~key:fp ~k:(effective_clusters job) job.costs in
+      let ranks () = Cache.ranks t.cache ~key:fp job.costs in
       let o =
         Cloudia.Solver.run ~stop ?init ~clustering ~ranks ~time_limit:budget solver
           (Prng.create job.seed) job.objective problem

@@ -12,8 +12,8 @@
     the queue and inside the solver via its [stop] hook. Results flow
     through the fingerprint-keyed {!Cache}: identical re-submissions are
     answered from a memo when the original solve did not stop on its
-    budget ({!Cloudia.Solver.stop_reason}), and new solves of a known matrix reuse cached
-    clusterings / rank tables and warm-start from the best incumbent seen
+    budget ({!Cloudia.Solver.stop_reason}), and new solves of a known matrix reuse the
+    matrix's cached rank table and clusterings and warm-start from the best incumbent seen
     for that (matrix, graph, objective).
 
     Telemetry: [serve.jobs], [serve.rejected], [serve.deadline_expired],

@@ -4,15 +4,14 @@ type result = {
   cost : float;
 }
 
-(* A sorted copy of [xs] and its number of distinct values. *)
-let sorted_copy xs =
+(* Only the repository benchmark (perfbench/) counts distinct values this
+   way; [cluster] takes its values already distinct and sorted. *)
+let distinct_count xs =
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
   let distinct = ref 0 in
   Array.iteri (fun i x -> if i = 0 || x <> sorted.(i - 1) then incr distinct) sorted;
-  (sorted, !distinct)
-
-let distinct_count xs = snd (sorted_copy xs)
+  !distinct
 
 (* SSE of the weighted interval [i, j] (inclusive, 0-based) of distinct
    values. [pre] interleaves the prefix sums: pre.(3i), pre.(3i+1) and
@@ -38,36 +37,34 @@ let[@cloudia.hot] best_start pre prev ~j ~lo ~hi =
   done;
   !arg
 
-let cluster ~k xs =
+let cluster ~k values counts =
   if k <= 0 then invalid_arg "Kmeans1d.cluster: k must be positive";
-  if Array.length xs = 0 then invalid_arg "Kmeans1d.cluster: empty input";
-  (* NaN breaks the sort order and ±inf poisons the prefix sums; either
-     would silently corrupt the DP tables, so reject up front. *)
+  let n = Array.length values in
+  if n = 0 then invalid_arg "Kmeans1d.cluster: empty input";
+  if Array.length counts <> n then
+    invalid_arg "Kmeans1d.cluster: values and counts differ in length";
+  (* NaN breaks the order and ±inf poisons the prefix sums; either would
+     silently corrupt the DP tables, so reject up front. *)
   Array.iteri
     (fun i x ->
       if not (Float.is_finite x) then
         invalid_arg
           (Printf.sprintf "Kmeans1d.cluster: input %d is %s; values must be finite" i
-             (if Float.is_nan x then "NaN" else "infinite")))
-    xs;
-  let sorted, n = sorted_copy xs in
+             (if Float.is_nan x then "NaN" else "infinite"));
+      if i > 0 && not (values.(i - 1) < x) then
+        invalid_arg (Printf.sprintf "Kmeans1d.cluster: value %d does not ascend" i);
+      if counts.(i) <= 0 then
+        invalid_arg (Printf.sprintf "Kmeans1d.cluster: count %d is not positive" i))
+    values;
   let k = min k n in
-  (* One pass over the sorted runs: each distinct value (the first of its
-     run) and the prefix sums weighted by its multiplicity. *)
-  let values = Array.make n 0.0 and pre = Array.make (3 * (n + 1)) 0.0 in
-  let d = ref 0 and start = ref 0 in
-  let len = Array.length sorted in
-  for i = 0 to len - 1 do
-    if i = len - 1 || sorted.(i + 1) <> sorted.(i) then begin
-      let v = sorted.(!start) and w = float_of_int (i + 1 - !start) in
-      let p = 3 * !d in
-      values.(!d) <- v;
-      pre.(p + 3) <- pre.(p) +. w;
-      pre.(p + 4) <- pre.(p + 1) +. (w *. v);
-      pre.(p + 5) <- pre.(p + 2) +. (w *. v *. v);
-      incr d;
-      start := i + 1
-    end
+  (* The prefix sums, each value weighted by its count. *)
+  let pre = Array.make (3 * (n + 1)) 0.0 in
+  for d = 0 to n - 1 do
+    let v = values.(d) and w = float_of_int counts.(d) in
+    let p = 3 * d in
+    pre.(p + 3) <- pre.(p) +. w;
+    pre.(p + 4) <- pre.(p + 1) +. (w *. v);
+    pre.(p + 5) <- pre.(p + 2) +. (w *. v *. v)
   done;
   (* Row c of the DP: cost.(j) = min SSE of values[0..j] in c+1 clusters.
      Only rows c-1 ([prev]) and c ([cur]) are live; back.(c*n + j) is the
@@ -110,8 +107,9 @@ let cluster ~k xs =
   let boundaries = Array.map (fun i -> values.(i)) starts in
   { centers; boundaries; cost = prev.(n - 1) }
 
-let assign_index r x =
-  (* Nearest center; centers are ascending so a linear scan is fine. *)
+(* Nearest center, the first of two equally near; centers ascend, so a
+   linear scan is fine. *)
+let assign r x =
   let best = ref 0 and bestd = ref infinity in
   Array.iteri
     (fun i c ->
@@ -121,6 +119,4 @@ let assign_index r x =
         best := i
       end)
     r.centers;
-  !best
-
-let assign r x = r.centers.(assign_index r x)
+  r.centers.(!best)

@@ -20,20 +20,23 @@ type result = {
   cost : float;             (** total within-cluster sum of squared error *)
 }
 
-val cluster : k:int -> float array -> result
-(** [cluster ~k xs] optimally partitions the multiset [xs] into at most [k]
-    contiguous clusters (in value order), minimizing within-cluster squared
-    error. If [xs] has fewer than [k] distinct values, each distinct value
-    becomes its own cluster. Raises [Invalid_argument] if [k <= 0], [xs]
-    is empty, or [xs] contains a non-finite value (NaN/±inf would silently
-    corrupt the DP tables). *)
+val cluster : k:int -> float array -> int array -> result
+(** [cluster ~k values counts] optimally partitions a multiset into at
+    most [k] contiguous clusters (in value order), minimizing
+    within-cluster squared error. The multiset is given as its distinct
+    values, strictly ascending, and how many times each occurs: one sort
+    of the input, done by the caller ([Lat_matrix.Ranks] for link
+    costs), so this module sorts nothing. If there are fewer than [k]
+    distinct values, each becomes its own cluster. Raises
+    [Invalid_argument] if [k <= 0], [values] is empty, the two arrays
+    differ in length, a value is non-finite (NaN/±inf would silently
+    corrupt the DP tables), the values do not strictly ascend, or a count
+    is not positive. *)
 
 val assign : result -> float -> float
-(** [assign r x] maps [x] to its cluster's mean (the rounding the paper
-    applies to all link costs before solving). *)
-
-val assign_index : result -> float -> int
-(** Index of the cluster [x] falls into (nearest center). *)
+(** [assign r x] maps [x] to the mean of its nearest cluster, the first
+    one on a tie (the rounding the paper applies to all link costs before
+    solving). *)
 
 val distinct_count : float array -> int
 (** Number of distinct values, a convenience for choosing [k] sweeps. *)

@@ -182,12 +182,6 @@ let test_clustering_none_preserves () =
   (* Distinct off-diagonal values of the path problem: 1..6. *)
   Alcotest.(check int) "distinct levels" 6 (Array.length c.Clustering.levels)
 
-let test_thresholds_below () =
-  let c = Clustering.none path_problem.Types.lat in
-  Alcotest.(check (list (float 1e-9))) "below 3.5" [ 3.0; 2.0; 1.0 ]
-    (Clustering.thresholds_below c 3.5);
-  Alcotest.(check (list (float 1e-9))) "below 1" [] (Clustering.thresholds_below c 1.0)
-
 let test_clustering_preserves_diagonal () =
   let c = Clustering.cluster ~k:3 path_problem.Types.lat in
   for j = 0 to 3 do
@@ -211,7 +205,7 @@ let test_clustering_clamps_k () =
 
 let test_clustering_ignores_non_finite () =
   (* NaN marks an unsampled pair; it must not reach k-means, must not
-     become a level (it would poison thresholds_below), and must survive
+     become a level (it would poison the CP thresholds), and must survive
      verbatim in the rounded matrix. *)
   let lat =
     Lat_matrix.init 4 (fun j j' ->
@@ -232,9 +226,7 @@ let test_clustering_ignores_non_finite () =
   Array.iter
     (fun l -> Alcotest.(check bool) "none level finite" true (Float.is_finite l))
     n.Clustering.levels;
-  Alcotest.(check int) "distinct finite levels" 2 (Array.length n.Clustering.levels);
-  Alcotest.(check (list (float 1e-9))) "thresholds stay finite" [ 1.0 ]
-    (Clustering.thresholds_below n 2.0)
+  Alcotest.(check int) "distinct finite levels" 2 (Array.length n.Clustering.levels)
 
 let test_clustering_all_non_finite () =
   (* Degenerate but legal: nothing sampled yet. No levels, input
@@ -244,7 +236,76 @@ let test_clustering_all_non_finite () =
   Alcotest.(check int) "no levels" 0 (Array.length c.Clustering.levels);
   Alcotest.(check bool) "matrix preserved" true (Lat_matrix.equal c.Clustering.rounded lat)
 
-(* ---------- Greedy ---------- *)
+(* The rank-table clustering against the one it replaced
+   ([Cp_reference.Clustering]: a filter of the finite cells, the full-DP
+   k-means and a nearest-center scan per cell; a sort and a dedup for
+   [none]). Rounded matrices and levels must match bit for bit, with one
+   exception: a zero level of [none] may differ in sign when the matrix
+   holds both -0 and +0, because each picks its own cell to stand for
+   that class (the awkward matrices below hit it). k-means centers are
+   differences of prefix sums that start at +0, so they are never -0. *)
+let test_clustering_matches_reference () =
+  let cells lat =
+    Lat_matrix.to_arrays lat |> Array.to_list |> Array.concat |> Array.map Int64.bits_of_float
+  in
+  let signed_zeros lat =
+    let neg = ref false and pos = ref false in
+    Lat_matrix.iter
+      (fun j j' v -> if j <> j' && v = 0.0 then if Float.sign_bit v then neg := true else pos := true)
+      lat;
+    !neg && !pos
+  in
+  let same ~zero_sign name (want : Cp_reference.Clustering.t) (got : Clustering.t) =
+    let same_level x y =
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) || (zero_sign && x = 0.0 && y = 0.0)
+    in
+    Alcotest.(check (array int64))
+      (name ^ ": rounded") (cells want.rounded) (cells got.Clustering.rounded);
+    Alcotest.(check bool)
+      (name ^ ": levels") true
+      (Array.length want.levels = Array.length got.Clustering.levels
+      && Array.for_all2 same_level want.levels got.Clustering.levels)
+  in
+  let check name lat =
+    let want = Cp_reference.Clustering.none lat in
+    same ~zero_sign:(signed_zeros lat) (name ^ " none") want (Clustering.none lat);
+    List.iter
+      (fun k ->
+        same ~zero_sign:false
+          (Printf.sprintf "%s k=%d" name k)
+          (Cp_reference.Clustering.cluster ~k lat)
+          (Clustering.cluster ~k lat))
+      [ 1; 2; 3; 20; Array.length want.levels + 1 ]
+  in
+  let rng = Prng.create 2828 in
+  for m = 0 to 3 do
+    check (Printf.sprintf "%dx%d zeros" m m) (Lat_matrix.create m);
+    check (Printf.sprintf "%dx%d all NaN" m m) (Lat_matrix.init m (fun _ _ -> Float.nan));
+    for trial = 1 to 20 do
+      check
+        (Printf.sprintf "%dx%d awkward #%d" m m trial)
+        (Lat_matrix.init m (fun j j' -> if j = j' then 0.0 else Test_delta.awkward_cell rng))
+    done
+  done;
+  (* The diagonal is awkward too: it must not count. *)
+  for trial = 1 to 20 do
+    let m = if trial = 1 then 44 else 4 + Prng.int rng 41 in
+    check
+      (Printf.sprintf "%dx%d awkward #%d" m m trial)
+      (Lat_matrix.init m (fun _ _ -> Test_delta.awkward_cell rng))
+  done;
+  (* At k = 2 the centers are 3 and 0x1.8000000000002p+1 (its cluster's
+     mean, rounded), and the cell 0x1.8000000000001p+1 at (2, 0) lies
+     exactly midway between them: the first center takes it. *)
+  let x = 0x1.8000000000001p+1 and hi = 0x1.8000000000002p+1 in
+  let midway =
+    Lat_matrix.of_arrays [| [| 0.0; 3.0; hi |]; [| hi; 0.0; hi |]; [| x; hi; 0.0 |] |]
+  in
+  let c = Clustering.cluster ~k:2 midway in
+  Alcotest.(check bool) "the cell is midway" true
+    (c.Clustering.levels = [| 3.0; hi |] && Float.abs (x -. 3.0) = Float.abs (x -. hi));
+  check_float ~tol:0.0 "the first center takes it" 3.0 (Lat_matrix.get c.Clustering.rounded 2 0);
+  check "3x3 midway" midway
 
 let random_problem ?(nodes = 8) ?(instances = 10) seed =
   let rng = Prng.create seed in
@@ -461,11 +522,12 @@ let suite =
     Alcotest.test_case "metric ordering" `Quick test_metric_ordering_on_jittery_links;
     Alcotest.test_case "clustering rounds to levels" `Quick test_clustering_rounds_to_levels;
     Alcotest.test_case "clustering none preserves" `Quick test_clustering_none_preserves;
-    Alcotest.test_case "thresholds below" `Quick test_thresholds_below;
     Alcotest.test_case "clustering clamps k" `Quick test_clustering_clamps_k;
     Alcotest.test_case "clustering ignores non-finite" `Quick
       test_clustering_ignores_non_finite;
     Alcotest.test_case "clustering all non-finite" `Quick test_clustering_all_non_finite;
+    Alcotest.test_case "clustering matches the reference" `Quick
+      test_clustering_matches_reference;
     Alcotest.test_case "clustering preserves diagonal" `Quick test_clustering_preserves_diagonal;
     Alcotest.test_case "greedy plans valid" `Quick test_greedy_plans_valid;
     Alcotest.test_case "greedy on mesh" `Quick test_greedy_on_mesh;

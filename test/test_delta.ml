@@ -529,13 +529,13 @@ let awkward_cell rng =
 let test_ranks_match_hashtbl () =
   let check name lat =
     let values, table = hashtbl_ranks lat in
-    let r = Delta_cost.ranks_of_matrix lat in
-    let got = Delta_cost.rank_values r in
+    let r = Lat_matrix.Ranks.of_matrix lat in
+    let got = Lat_matrix.Ranks.values r in
     Alcotest.(check (array int64))
       (name ^ ": values, bit for bit")
       (Array.map Int64.bits_of_float values)
       (Array.map Int64.bits_of_float got);
-    Alcotest.(check (array int)) (name ^ ": rank table") table (Delta_cost.rank_table r)
+    Alcotest.(check (array int)) (name ^ ": rank table") table (Lat_matrix.Ranks.table r)
   in
   let rng = Prng.create 2525 in
   for m = 0 to 3 do
@@ -644,7 +644,7 @@ let ec2_matrix seed =
    and consed incident lists. *)
 let test_anneal_allocation_ceilings () =
   let lat = ec2_matrix 1 in
-  let ranks = Delta_cost.ranks_of_matrix lat in
+  let ranks = Lat_matrix.Ranks.of_matrix lat in
   let mesh = Graphs.Templates.mesh2d ~rows:8 ~cols:8 in
   let dag = Graphs.Templates.random_dag (Prng.create 5) ~n:64 ~edge_prob:0.08 in
   List.iter

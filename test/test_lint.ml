@@ -309,7 +309,7 @@ let test_violation_to_diagnostic () =
 
 let test_kmeans_rejects_nan () =
   check_bool "kmeans rejects NaN" true
-    (match Stats.Kmeans1d.cluster ~k:2 [| 1.0; Float.nan; 3.0 |] with
+    (match Stats.Kmeans1d.cluster ~k:2 [| 1.0; Float.nan; 3.0 |] [| 1; 1; 1 |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

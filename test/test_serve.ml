@@ -520,6 +520,41 @@ let test_end_to_end_memo_and_warm () =
   Alcotest.(check bool) "memo occupied" true (get "cache.memo" >= 1);
   Alcotest.(check bool) "incumbents occupied" true (get "cache.incumbents" >= 1)
 
+(* A CP job, a longest-link anneal and a CP job at another k on one
+   matrix share one cache entry: one rank table, sorted once, and the
+   clusterings made from it. *)
+let test_one_entry_per_matrix () =
+  (with_server "matrix" @@ fun sock ->
+   let c = Serve.Client.connect sock in
+   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+   List.iter
+     (fun j -> check_valid_plan (advise_result c j).r_plan)
+     [
+       job ~id:"cp3" ~solver:Serve.Protocol.Cp ~clusters:3 ();
+       job ~id:"ll" ~solver:Serve.Protocol.Anneal ~seed:5 ~max_moves:300 ();
+       job ~id:"cp5" ~solver:Serve.Protocol.Cp ~clusters:5 ();
+     ];
+   let stats = Serve.Client.stats c in
+   Alcotest.(check (option int)) "one matrix entry" (Some 1)
+     (List.assoc_opt "cache.matrices" stats);
+   Alcotest.(check bool) "no per-kind LRUs" false
+     (List.mem_assoc "cache.clusterings" stats || List.mem_assoc "cache.ranks" stats));
+  let cache = Serve.Cache.create ~capacity:2 in
+  let key = Serve.Cache.fingerprint costs6 in
+  let c3 = Serve.Cache.clustering cache ~key ~k:(Some 3) costs6 in
+  let r = Serve.Cache.ranks cache ~key costs6 in
+  Alcotest.(check bool) "the second call returns the same table" true
+    (r == Serve.Cache.ranks cache ~key costs6);
+  Alcotest.(check bool) "the same clustering" true
+    (c3 == Serve.Cache.clustering cache ~key ~k:(Some 3) costs6);
+  Alcotest.(check bool) "clustering as built directly" true
+    (Lat_matrix.equal c3.Cloudia.Clustering.rounded
+       (Cloudia.Clustering.cluster ~k:3 costs6).Cloudia.Clustering.rounded);
+  Alcotest.(check (float 0.0)) "exact levels" 0.3
+    (Serve.Cache.clustering cache ~key ~k:None costs6).Cloudia.Clustering.levels.(0);
+  Alcotest.(check (option int)) "still one entry" (Some 1)
+    (List.assoc_opt "cache.matrices" (Serve.Cache.stats cache))
+
 let test_solver_failure_is_replied () =
   (* The CP solver rejects the longest-path objective: the daemon must
      answer Failed, not drop the connection or the worker. *)
@@ -798,6 +833,7 @@ let suite =
     Alcotest.test_case "backpressure + shutdown drain" `Quick
       test_backpressure_and_shutdown_rejects;
     Alcotest.test_case "end-to-end memo and warm" `Quick test_end_to_end_memo_and_warm;
+    Alcotest.test_case "one cache entry per matrix" `Quick test_one_entry_per_matrix;
     Alcotest.test_case "solver failure replied" `Quick test_solver_failure_is_replied;
     Alcotest.test_case "invalid fields failed" `Quick test_invalid_fields_failed;
     Alcotest.test_case "non-integer seed and n failed" `Quick test_non_integer_seed_and_n_failed;

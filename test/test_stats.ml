@@ -127,22 +127,41 @@ let test_pearson_zero_variance_nan () =
 
 (* ---------- Kmeans1d ---------- *)
 
+(* A sample as [Kmeans1d.cluster] takes it: the distinct values
+   ascending (each run's first after the sort) and the size of each run. *)
+let multiset xs =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let runs = ref [] in
+  Array.iter
+    (fun x ->
+      match !runs with
+      | (v, c) :: rest when x = v -> runs := (v, c + 1) :: rest
+      | _ -> runs := (x, 1) :: !runs)
+    sorted;
+  let runs = Array.of_list (List.rev !runs) in
+  (Array.map fst runs, Array.map snd runs)
+
+let kmeans ~k xs =
+  let values, counts = multiset xs in
+  Kmeans1d.cluster ~k values counts
+
 let test_kmeans_two_obvious_clusters () =
   let xs = [| 1.0; 1.1; 0.9; 10.0; 10.1; 9.9 |] in
-  let r = Kmeans1d.cluster ~k:2 xs in
+  let r = kmeans ~k:2 xs in
   Alcotest.(check int) "two centers" 2 (Array.length r.Kmeans1d.centers);
   check_float ~tol:1e-6 "low center" 1.0 r.Kmeans1d.centers.(0);
   check_float ~tol:1e-6 "high center" 10.0 r.Kmeans1d.centers.(1)
 
 let test_kmeans_k_exceeds_distinct () =
   let xs = [| 1.0; 2.0; 1.0; 2.0 |] in
-  let r = Kmeans1d.cluster ~k:10 xs in
+  let r = kmeans ~k:10 xs in
   Alcotest.(check int) "capped at distinct count" 2 (Array.length r.Kmeans1d.centers);
   check_float "zero cost" 0.0 r.Kmeans1d.cost
 
 let test_kmeans_assign () =
   let xs = [| 1.0; 1.2; 5.0; 5.5 |] in
-  let r = Kmeans1d.cluster ~k:2 xs in
+  let r = kmeans ~k:2 xs in
   check_float ~tol:1e-6 "assign low" 1.1 (Kmeans1d.assign r 0.8);
   check_float ~tol:1e-6 "assign high" 5.25 (Kmeans1d.assign r 6.0)
 
@@ -183,7 +202,7 @@ let test_kmeans_matches_brute_force () =
     let n = 4 + Prng.int rng 6 in
     let xs = Array.init n (fun _ -> Float.round (Prng.float rng 10.0 *. 10.0) /. 10.0) in
     let k = 1 + Prng.int rng 3 in
-    let dp = (Kmeans1d.cluster ~k xs).Kmeans1d.cost in
+    let dp = (kmeans ~k xs).Kmeans1d.cost in
     let bf = brute_force_sse k xs in
     check_float ~tol:1e-6 "dp equals brute force" bf dp
   done
@@ -195,7 +214,7 @@ let same_bits a b =
   && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 let kmeans_bit_identical ~k xs =
-  let fast = Kmeans1d.cluster ~k xs and full = Cp_reference.Kmeans1d.cluster ~k xs in
+  let fast = kmeans ~k xs and full = Cp_reference.Kmeans1d.cluster ~k xs in
   same_bits fast.Kmeans1d.centers full.Kmeans1d.centers
   && same_bits fast.Kmeans1d.boundaries full.Kmeans1d.boundaries
   && same_bits [| fast.Kmeans1d.cost |] [| full.Kmeans1d.cost |]
@@ -214,6 +233,21 @@ let test_kmeans_matches_full_dp_at_scale () =
       Alcotest.(check bool) (Printf.sprintf "k=%d bit-identical" k) true
         (kmeans_bit_identical ~k xs))
     [ 1; 2; 5; 20; 64 ]
+
+let test_kmeans_rejects_bad_input () =
+  let raises values counts =
+    match Kmeans1d.cluster ~k:2 values counts with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "descending values" true (raises [| 2.0; 1.0 |] [| 1; 1 |]);
+  Alcotest.(check bool) "repeated value" true (raises [| 1.0; 1.0 |] [| 1; 1 |]);
+  Alcotest.(check bool) "-0 after +0" true (raises [| -0.0; 0.0 |] [| 1; 1 |]);
+  Alcotest.(check bool) "zero count" true (raises [| 1.0; 2.0 |] [| 1; 0 |]);
+  Alcotest.(check bool) "negative count" true (raises [| 1.0; 2.0 |] [| -1; 3 |]);
+  Alcotest.(check bool) "length mismatch" true (raises [| 1.0; 2.0 |] [| 1 |]);
+  Alcotest.(check bool) "infinite value" true (raises [| 1.0; Float.infinity |] [| 1; 1 |]);
+  Alcotest.(check bool) "valid input" false (raises [| 1.0; 2.0 |] [| 3; 1 |])
 
 let qcheck_props =
   [
@@ -245,9 +279,9 @@ let qcheck_props =
     QCheck.Test.make ~name:"kmeans cost decreases with k" ~count:100
       QCheck.(array_of_size (QCheck.Gen.int_range 3 25) (float_range 0. 10.))
       (fun xs ->
-        let c1 = (Kmeans1d.cluster ~k:1 xs).Kmeans1d.cost in
-        let c2 = (Kmeans1d.cluster ~k:2 xs).Kmeans1d.cost in
-        let c3 = (Kmeans1d.cluster ~k:3 xs).Kmeans1d.cost in
+        let c1 = (kmeans ~k:1 xs).Kmeans1d.cost in
+        let c2 = (kmeans ~k:2 xs).Kmeans1d.cost in
+        let c3 = (kmeans ~k:3 xs).Kmeans1d.cost in
         c1 >= c2 -. 1e-9 && c2 >= c3 -. 1e-9);
   ]
 
@@ -278,6 +312,7 @@ let suite =
     Alcotest.test_case "kmeans two obvious clusters" `Quick test_kmeans_two_obvious_clusters;
     Alcotest.test_case "kmeans k exceeds distinct" `Quick test_kmeans_k_exceeds_distinct;
     Alcotest.test_case "kmeans assign" `Quick test_kmeans_assign;
+    Alcotest.test_case "kmeans rejects bad input" `Quick test_kmeans_rejects_bad_input;
     Alcotest.test_case "kmeans matches brute force" `Quick test_kmeans_matches_brute_force;
     Alcotest.test_case "kmeans matches full DP at scale" `Quick
       test_kmeans_matches_full_dp_at_scale;
